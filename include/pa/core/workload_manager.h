@@ -105,6 +105,9 @@ class WorkloadManager {
   bool remove_queued_unit(const std::string& unit_id);
 
   std::size_t queued_units() const { return queue_.size(); }
+  /// Queued unit ids in the order the strategy sees them (O(queued);
+  /// for tests and diagnostics).
+  std::vector<std::string> queued_unit_ids() const;
   int free_cores(const std::string& pilot_id) const;
   int total_free_cores() const;
 
@@ -118,6 +121,15 @@ class WorkloadManager {
   /// invoking the strategy — when nothing changed since the last pass
   /// (the "wm.schedule_passes_skipped" counter tracks these;
   /// "wm.schedule_passes" counts executed passes only).
+  ///
+  /// Cost: the apply step is O(deepest accepted queue position) — only
+  /// the scanned prefix is compacted, units behind it are never touched —
+  /// so with the strategies' exhausted-capacity early exit a pass over a
+  /// deep backlog costs O(units scanned), not O(queue depth). Three parts
+  /// still walk the whole queue: the locality refresh (only when `data`
+  /// is set), the sortedness check of the ordered policies
+  /// (largest-first, shortest-first), and the fair-share interleave
+  /// (only while two or more tenants have queued units).
   std::vector<Assignment> schedule_pass(double now,
                                         const DataServiceInterface* data);
 
@@ -189,6 +201,8 @@ class WorkloadManager {
   /// append/prepend under FCFS, upper/lower bound of the unit_order()
   /// comparator otherwise (front = before equals, back = after equals).
   void insert_queued(QueuedUnit unit, bool front);
+  /// Drops one unit from `tenant`'s queued count (the entry goes at 0).
+  void unqueue_tenant(const std::string& tenant);
 
   /// Weighted fair-share ordering (deficit round robin): credits every
   /// tenant with queued units (weight x quantum), then interleaves the
@@ -224,6 +238,12 @@ class WorkloadManager {
   /// the cores actually granted, and is dropped when the tenant's queue
   /// empties (fresh start when it returns).
   std::map<std::string, double> drr_deficit_;
+  /// Queued units per tenant; only tenants with queued units have an
+  /// entry. Kept by the three places that change the queue: insert_queued,
+  /// remove_queued_unit and the apply step (remove_pilot and detach_pilot
+  /// leave the queue alone). The deficit cleanup and the single-tenant
+  /// fast path read it in O(tenants) instead of scanning the queue.
+  std::map<std::string, std::size_t> queued_per_tenant_;
 };
 
 }  // namespace pa::core

@@ -17,10 +17,13 @@
 /// "data as a first-class citizen").
 ///
 /// Self-pacing: the net::BatchFlusher only runs its sink when messages are
-/// pending, so after each pass with cursor work left the sink *retains*
-/// one prefetched frame unsent — the flusher re-queues it at the front and
-/// re-enters the sink after its retry backoff. The prefetch is the pump's
-/// heartbeat; without it a drained queue would strand live cursors.
+/// pending, so after each pass that drains the queue with cursor work
+/// left the sink *retains* one prefetched frame unsent — the flusher
+/// re-queues it at the front and re-enters the sink after its retry
+/// backoff. The prefetch is the pump's heartbeat; without it a drained
+/// queue would strand live cursors. A stream builds no new frame while
+/// one of its frames waits in the queue, so topping a pass up from the
+/// cursors never overtakes an earlier chunk.
 ///
 /// Delivery contract (mirrors the dispatch sink in RemoteRuntime):
 ///   * kSent  — frame accepted by the connection;
@@ -137,14 +140,24 @@ class TransferScheduler {
     std::uint32_t next = 0;
     std::uint32_t count = 0;
     std::uint64_t total = 0;
+    /// Frames of this stream waiting in the pump queue. No further frame
+    /// is built while any waits, so a chunk never overtakes another.
+    std::uint32_t in_queue = 0;
   };
 
   std::vector<net::Message> pump_sink(std::vector<net::Message> batch,
                                       net::FlushReason reason);
   /// Builds the next frame round-robin across live streams, skipping
-  /// `busy` pilots; advances (and completes/aborts) the chosen cursor.
+  /// `busy` pilots and streams with a frame in the pump queue; advances
+  /// (and completes/aborts) the chosen cursor. `to_queue` counts the
+  /// frame into its stream's in_queue, for a frame pushed to the pump.
   std::optional<net::Message> next_stream_frame(
-      const std::vector<std::string>& busy) PA_EXCLUDES(mutex_);
+      const std::vector<std::string>& busy, bool to_queue)
+      PA_EXCLUDES(mutex_);
+  /// Counts the kObjPut `frames` into (`entering`) or out of their
+  /// streams' in_queue.
+  void count_in_queue(const std::vector<net::Message>& frames, bool entering)
+      PA_EXCLUDES(mutex_);
 
   const TransferSchedulerConfig config_;
   ObjSender sender_;

@@ -66,6 +66,15 @@ class GroupCoordinator {
                           int partition) const PA_EXCLUDES(mutex_);
   void commit(const std::string& topic, const std::string& group,
               int partition, std::uint64_t offset) PA_EXCLUDES(mutex_);
+  /// Fenced commit: commits every (partition, offset) only while
+  /// `generation` is still the group's current one, all under one lock.
+  /// Returns false — nothing committed — when a rebalance moved the
+  /// generation, so a member never advances partitions it may have lost.
+  bool commit_in_generation(const std::string& topic,
+                            const std::string& group,
+                            std::uint64_t generation,
+                            const std::map<int, std::uint64_t>& offsets)
+      PA_EXCLUDES(mutex_);
 
   /// Messages remaining for the group across all partitions of the topic
   /// (end offsets minus committed offsets).
@@ -110,8 +119,12 @@ class Consumer {
   /// across them). Refreshes the assignment when the generation moved.
   std::vector<Message> poll(std::size_t max_messages);
 
-  /// Commits everything returned by previous polls.
-  void commit();
+  /// Commits everything returned by previous polls. Returns false and
+  /// commits nothing when a rebalance happened since the last poll: the
+  /// next poll resumes from the committed offsets, so those messages go
+  /// to each partition's current owner again (at-least-once delivery,
+  /// but a batch is committed — and counted — by one member only).
+  bool commit();
 
   const std::vector<int>& assigned_partitions() const { return assigned_; }
   std::uint64_t messages_consumed() const { return consumed_; }

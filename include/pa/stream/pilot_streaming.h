@@ -32,6 +32,9 @@ struct StreamPipelineConfig {
   std::size_t message_bytes = 1024;
   std::size_t poll_batch = 256;
   /// Per-message processing work (reconstruction kernel, ...); may be null.
+  /// Runs at least once per message: a batch fenced by a consumer-group
+  /// rebalance is handled again by the partition's new owner. The result
+  /// counts each message once.
   std::function<void(const Message&)> handler;
   /// Messages/second per producer; 0 = produce at maximum speed.
   double produce_rate = 0.0;

@@ -35,8 +35,11 @@ struct Capacity {
   }
 
   /// Early-exit signal: once no pilot has a free core, no further unit
-  /// can fit, so scan loops stop — a pass over a long queue then costs
-  /// O(assigned), not O(queued).
+  /// can fit, so scan loops stop. A scan then costs O(units scanned up to
+  /// the unit that used the last free core) — O(assigned) when the head
+  /// units fit, but the whole queue when skipped units leave cores free
+  /// to the end. The workload manager's apply step compacts only that
+  /// scanned prefix, so the pass as a whole keeps the same bound.
   bool exhausted() const { return total_free_ <= 0; }
 
   const std::vector<PilotView>& pilots_;

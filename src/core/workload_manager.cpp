@@ -171,11 +171,19 @@ void WorkloadManager::insert_queued(QueuedUnit unit, bool front) {
                          order) -
         queue_views_.begin());
   }
+  ++queued_per_tenant_[unit.tenant];
   queue_.insert(queue_.begin() + static_cast<std::ptrdiff_t>(pos),
                 std::move(unit));
   queue_views_.insert(queue_views_.begin() + static_cast<std::ptrdiff_t>(pos),
                       std::move(view));
   dirty_ = true;
+}
+
+void WorkloadManager::unqueue_tenant(const std::string& tenant) {
+  const auto it = queued_per_tenant_.find(tenant);
+  if (--it->second == 0) {
+    queued_per_tenant_.erase(it);
+  }
 }
 
 void WorkloadManager::enqueue_unit(const std::string& unit_id,
@@ -222,12 +230,22 @@ bool WorkloadManager::remove_queued_unit(const std::string& unit_id) {
   if (it == queue_.end()) {
     return false;
   }
+  unqueue_tenant(it->tenant);
   queue_views_.erase(queue_views_.begin() + (it - queue_.begin()));
   queue_.erase(it);
   requeue_counts_.erase(unit_id);
   // The removed unit may have been blocking a FIFO head-of-line pass.
   dirty_ = true;
   return true;
+}
+
+std::vector<std::string> WorkloadManager::queued_unit_ids() const {
+  std::vector<std::string> ids;
+  ids.reserve(queue_.size());
+  for (const auto& q : queue_) {
+    ids.push_back(q.unit_id);
+  }
+  return ids;
 }
 
 int WorkloadManager::free_cores(const std::string& pilot_id) const {
@@ -266,14 +284,14 @@ void WorkloadManager::refresh_locality(UnitView& view, const QueuedUnit& unit,
 }
 
 bool WorkloadManager::fair_share_order(std::vector<std::size_t>* order) {
+  if (queued_per_tenant_.size() < 2) {
+    return false;
+  }
   // Group queue positions by tenant, preserving each tenant's intra-queue
   // policy order. A sorted map keeps tenant visiting order deterministic.
   std::map<std::string, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     groups[queue_[i].tenant].push_back(i);
-  }
-  if (groups.size() < 2) {
-    return false;
   }
   int quantum = 1;
   for (const auto& q : queue_) {
@@ -379,9 +397,10 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
 
   // Apply: validate capacity (defense against buggy strategies), reserve
   // cores, move units from queue to bound. queue_index makes each apply
-  // O(1); taken[] catches duplicate assignments, and the queue is
-  // compacted once at the end instead of erased per unit.
-  std::vector<char> taken(queue_.size(), 0);
+  // O(1); taken[] catches duplicate assignments and only spans the prefix
+  // up to the deepest accepted position, so the apply step costs what the
+  // strategy scanned, not the queue depth.
+  std::vector<char> taken;
   std::vector<Assignment> accepted;
   accepted.reserve(proposed.size());
   for (const auto& a : proposed) {
@@ -397,6 +416,9 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
       PA_CHECK_MSG(qit != queue_.end(),
                    "scheduler assigned unknown unit " << a.unit_id);
       qi = static_cast<std::size_t>(qit - queue_.begin());
+    }
+    if (qi >= taken.size()) {
+      taken.resize(qi + 1, 0);
     }
     PA_CHECK_MSG(!taken[qi],
                  "scheduler assigned duplicate unit " << a.unit_id);
@@ -415,27 +437,30 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
     accepted.push_back(a);
   }
   if (!accepted.empty()) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < queue_.size(); ++r) {
+    // Compact the scanned prefix only: shift its survivors toward the
+    // back (order kept), then drop the freed front slots. Units past the
+    // deepest taken position are never touched.
+    std::size_t w = taken.size();
+    for (std::size_t r = taken.size(); r-- > 0;) {
       if (taken[r]) {
+        unqueue_tenant(queue_[r].tenant);
         continue;
       }
-      if (w != r) {
+      if (--w != r) {
         queue_[w] = std::move(queue_[r]);
         queue_views_[w] = std::move(queue_views_[r]);
       }
-      ++w;
     }
-    queue_.resize(w);
-    queue_views_.resize(w);
+    const auto freed = static_cast<std::ptrdiff_t>(w);
+    queue_.erase(queue_.begin(), queue_.begin() + freed);
+    queue_views_.erase(queue_views_.begin(), queue_views_.begin() + freed);
   }
   if (fair_share_ && !drr_deficit_.empty()) {
     // A tenant whose queue emptied starts fresh when it returns.
     for (auto dit = drr_deficit_.begin(); dit != drr_deficit_.end();) {
-      const bool still_queued = std::any_of(
-          queue_.begin(), queue_.end(),
-          [&](const QueuedUnit& q) { return q.tenant == dit->first; });
-      dit = still_queued ? std::next(dit) : drr_deficit_.erase(dit);
+      dit = queued_per_tenant_.count(dit->first) != 0
+                ? std::next(dit)
+                : drr_deficit_.erase(dit);
     }
   }
   if (metrics_ != nullptr) {

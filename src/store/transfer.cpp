@@ -62,9 +62,9 @@ void TransferScheduler::push_object(const std::string& pilot_id,
     streams_.push_back(std::move(s));
   }
   // Prime the pump: an idle flusher only wakes for pushed messages, so
-  // the first frame travels through the queue and the sink's prefetch
-  // keeps the cursor alive from there.
-  if (std::optional<net::Message> first = next_stream_frame({})) {
+  // one frame travels through the queue and the sink's top-up and
+  // prefetch keep the cursors alive from there.
+  if (std::optional<net::Message> first = next_stream_frame({}, true)) {
     pump_->push(std::move(*first));
   }
 }
@@ -105,13 +105,14 @@ std::size_t TransferScheduler::streams_active() const {
 }
 
 std::optional<net::Message> TransferScheduler::next_stream_frame(
-    const std::vector<std::string>& busy) {
+    const std::vector<std::string>& busy, bool to_queue) {
   check::MutexLock lock(mutex_);
   const std::size_t n = streams_.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t at = (round_robin_ + probe) % n;
     Stream& s = streams_[at];
-    if (std::find(busy.begin(), busy.end(), s.pilot_id) != busy.end()) {
+    if (s.in_queue > 0 ||
+        std::find(busy.begin(), busy.end(), s.pilot_id) != busy.end()) {
       continue;
     }
     net::Message m;
@@ -142,11 +143,32 @@ std::optional<net::Message> TransferScheduler::next_stream_frame(
       streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(at));
       round_robin_ = at;
     } else {
+      s.in_queue += to_queue ? 1 : 0;
       round_robin_ = at + 1;
     }
     return m;
   }
   return std::nullopt;
+}
+
+void TransferScheduler::count_in_queue(
+    const std::vector<net::Message>& frames, bool entering) {
+  check::MutexLock lock(mutex_);
+  for (const net::Message& m : frames) {
+    if (m.type != net::MessageType::kObjPut) {
+      continue;
+    }
+    for (Stream& s : streams_) {
+      if (s.transfer_id == m.transfer_id) {
+        if (entering) {
+          ++s.in_queue;
+        } else if (s.in_queue > 0) {
+          --s.in_queue;
+        }
+        break;
+      }
+    }
+  }
 }
 
 std::vector<net::Message> TransferScheduler::pump_sink(
@@ -155,18 +177,18 @@ std::vector<net::Message> TransferScheduler::pump_sink(
   if (!sender_) {
     return batch;  // not attached yet; retry after backoff
   }
+  // The batch's chunk frames have left the pump queue, so their streams
+  // may be topped up below (a retained frame re-enters it at the end).
+  count_in_queue(batch, /*entering=*/false);
   // Pilots whose stream hit backpressure this pass: all their later
   // frames are retained unsent so per-pilot chunk order is preserved.
   std::vector<std::string> busy;
-  const auto is_busy = [&busy](const std::string& pilot) {
-    return std::find(busy.begin(), busy.end(), pilot) != busy.end();
-  };
   std::size_t sent_this_pass = 0;
-  for (net::Message& m : batch) {
+  const auto deliver = [&](net::Message& m) {
     const std::string pilot = m.pilot_id;
-    if (is_busy(pilot)) {
+    if (std::find(busy.begin(), busy.end(), pilot) != busy.end()) {
       retained.push_back(std::move(m));
-      continue;
+      return;
     }
     const std::uint64_t frame_bytes = m.chunk_data.size();
     switch (sender_(pilot, m)) {
@@ -184,46 +206,36 @@ std::vector<net::Message> TransferScheduler::pump_sink(
         drop_pilot(pilot);
         break;
     }
+  };
+  for (net::Message& m : batch) {
+    deliver(m);
   }
-  // Top up the pass from stream cursors — but only when the queue was
-  // fully drained (batch smaller than a full take): a full batch may
-  // leave earlier frames for these streams in the pending tail, and
-  // generating more now would reorder them.
-  const std::size_t cap =
-      config_.chunks_per_pass == 0 ? 1 : config_.chunks_per_pass;
-  if (reason != net::FlushReason::kClose && batch.size() < cap) {
+  if (reason != net::FlushReason::kClose) {
+    // Top up the pass from stream cursors. Streams with a frame still in
+    // the pump queue are skipped, so a new frame never overtakes an
+    // earlier one of its stream.
+    const std::size_t cap =
+        config_.chunks_per_pass == 0 ? 1 : config_.chunks_per_pass;
     while (sent_this_pass < cap) {
-      std::optional<net::Message> next = next_stream_frame(busy);
+      std::optional<net::Message> next = next_stream_frame(busy, false);
       if (!next) {
         break;
       }
-      net::Message m = std::move(*next);
-      const std::string pilot = m.pilot_id;
-      const std::uint64_t frame_bytes = m.chunk_data.size();
-      switch (sender_(pilot, m)) {
-        case SendResult::kSent:
-          ++sent_this_pass;
-          chunks_sent_.fetch_add(1, std::memory_order_relaxed);
-          bytes_sent_.fetch_add(frame_bytes, std::memory_order_relaxed);
-          break;
-        case SendResult::kBusy:
-          busy.push_back(pilot);
-          retained.push_back(std::move(m));
-          break;
-        case SendResult::kGone:
-          chunks_dropped_.fetch_add(1, std::memory_order_relaxed);
-          drop_pilot(pilot);
-          break;
-      }
+      deliver(*next);
     }
     // The flusher sleeps once its queue drains, so while cursors still
     // have work we retain one prefetched frame unsent: it re-enters the
-    // sink after the retry backoff and keeps the stream moving. Appended
-    // last so it lands behind any busy-retained frames for its pilot.
-    if (std::optional<net::Message> ahead = next_stream_frame({})) {
-      retained.push_back(std::move(*ahead));
+    // sink after the retry backoff and keeps the stream moving. Only this
+    // thread drains the queue, so a non-empty queue is re-entered anyway.
+    // Appended last so it lands behind any busy-retained frames for its
+    // pilot.
+    if (pump_->pending() == 0) {
+      if (std::optional<net::Message> ahead = next_stream_frame({}, false)) {
+        retained.push_back(std::move(*ahead));
+      }
     }
   }
+  count_in_queue(retained, /*entering=*/true);
   return retained;
 }
 

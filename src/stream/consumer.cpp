@@ -118,6 +118,21 @@ void GroupCoordinator::commit(const std::string& topic,
   cur = std::max(cur, offset);
 }
 
+bool GroupCoordinator::commit_in_generation(
+    const std::string& topic, const std::string& group,
+    std::uint64_t generation, const std::map<int, std::uint64_t>& offsets) {
+  check::MutexLock lock(mutex_);
+  Group& g = groups_[{topic, group}];
+  if (g.generation != generation) {
+    return false;
+  }
+  for (const auto& [p, offset] : offsets) {
+    std::uint64_t& cur = g.committed[p];
+    cur = std::max(cur, offset);
+  }
+  return true;
+}
+
 std::uint64_t GroupCoordinator::lag(const std::string& topic,
                                     const std::string& group) const {
   const int nparts = broker_.partition_count(topic);
@@ -189,10 +204,12 @@ std::vector<Message> Consumer::poll(std::size_t max_messages) {
   return out;
 }
 
-void Consumer::commit() {
-  for (const auto& [p, pos] : positions_) {
-    coordinator_.commit(topic_, group_, p, pos);
+bool Consumer::commit() {
+  if (positions_.empty()) {
+    return true;  // nothing polled yet
   }
+  return coordinator_.commit_in_generation(topic_, group_, generation_,
+                                           positions_);
 }
 
 }  // namespace pa::stream

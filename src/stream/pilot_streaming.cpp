@@ -95,10 +95,14 @@ StreamPipelineResult PilotStreamingService::run_pipeline(
           if (config.handler) {
             config.handler(msg);
           }
-          local_latency.record(std::max(1e-9, now - msg.produce_time));
           bytes += msg.payload.size();
         }
-        consumer.commit();
+        if (!consumer.commit()) {
+          continue;  // a rebalance fenced the batch: counted where redelivered
+        }
+        for (const Message& msg : batch) {
+          local_latency.record(std::max(1e-9, now - msg.produce_time));
+        }
         consumed->fetch_add(batch.size());
         consumed_bytes->fetch_add(bytes);
       }

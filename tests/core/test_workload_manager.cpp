@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "pa/common/error.h"
 #include "pa/obs/metrics.h"
 
@@ -518,6 +524,196 @@ TEST(WorkloadManager, DetachPilotCarriesBoundUnitsAndRequeueBudget) {
   EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
   EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
   EXPECT_FALSE(target.requeue_unit_front("u1", unit_desc(2)));
+}
+
+
+// ---------------------------------------------------------------------------
+// Queue compaction: a pass removes its taken units from the scanned prefix
+// only; the survivors keep their order and the views stay parallel.
+// ---------------------------------------------------------------------------
+
+/// Delegates to a real policy and records the unit order of the views
+/// each executed pass presents, so a test can check the strategy saw the
+/// same queue the manager reports.
+class ViewRecorder : public Scheduler {
+ public:
+  ViewRecorder(std::unique_ptr<Scheduler> inner, std::vector<std::string>* seen)
+      : inner_(std::move(inner)), seen_(seen) {}
+  std::vector<Assignment> schedule(
+      const std::deque<UnitView>& queued,
+      const std::vector<PilotView>& pilots) override {
+    seen_->clear();
+    for (const auto& v : queued) {
+      seen_->push_back(v.unit_id);
+    }
+    return inner_->schedule(queued, pilots);
+  }
+  UnitOrder unit_order() const override { return inner_->unit_order(); }
+  const char* name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  std::vector<std::string>* seen_;
+};
+
+std::vector<std::string> ids_of(const std::vector<Assignment>& out) {
+  std::vector<std::string> ids;
+  for (const auto& a : out) {
+    ids.push_back(a.unit_id);
+  }
+  return ids;
+}
+
+using Ids = std::vector<std::string>;
+
+TEST(WorkloadManagerCompaction, BackfillSkipsHeadThenBindsLaterUnits) {
+  std::vector<std::string> seen;
+  WorkloadManager wm(
+      std::make_unique<ViewRecorder>(make_scheduler("backfill"), &seen));
+  wm.add_pilot("p1", "a", 3, 0, 0.0, 1e9);
+  wm.enqueue_unit("A", unit_desc(2));
+  wm.enqueue_unit("B", unit_desc(4));  // never fits a 3-core pilot
+  wm.enqueue_unit("C", unit_desc(2));
+  wm.enqueue_unit("D", unit_desc(1));
+  wm.enqueue_unit("E", unit_desc(1));
+  wm.enqueue_unit("F", unit_desc(1));
+  // A fits, B never does, C does not fit the one core left, D takes it.
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"A", "D"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"B", "C", "E", "F"}));
+  wm.unit_finished("A");
+  wm.unit_finished("D");
+  EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"C", "E"}));
+  EXPECT_EQ(seen, (Ids{"B", "C", "E", "F"}));  // views stayed parallel
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"B", "F"}));
+}
+
+TEST(WorkloadManagerCompaction, ShortestFirstWithRequeueFront) {
+  std::vector<std::string> seen;
+  WorkloadManager wm(std::make_unique<ViewRecorder>(
+      make_scheduler("shortest-first"), &seen));
+  wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
+  wm.enqueue_unit("b", unit_desc(1, 1.0));
+  wm.enqueue_unit("e", unit_desc(2, 1.0));
+  wm.enqueue_unit("a", unit_desc(1, 5.0));
+  wm.enqueue_unit("c", unit_desc(1, 5.0));
+  wm.enqueue_unit("d", unit_desc(1, 10.0));
+  ASSERT_TRUE(wm.requeue_unit_front("f", unit_desc(1, 5.0)));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"b", "e", "f", "a", "c", "d"}));
+  // b takes one core, e needs two, f takes the last one.
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"b", "f"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"e", "a", "c", "d"}));
+  ASSERT_TRUE(wm.requeue_unit_front("g", unit_desc(1, 5.0)));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"e", "g", "a", "c", "d"}));
+  wm.unit_finished("b");
+  wm.unit_finished("f");
+  EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"e"}));
+  EXPECT_EQ(seen, (Ids{"e", "g", "a", "c", "d"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"g", "a", "c", "d"}));
+}
+
+TEST(WorkloadManagerCompaction, LargestFirstWithRequeueFront) {
+  std::vector<std::string> seen;
+  WorkloadManager wm(std::make_unique<ViewRecorder>(
+      make_scheduler("largest-first"), &seen));
+  wm.add_pilot("p1", "a", 3, 0, 0.0, 1e9);
+  wm.enqueue_unit("s1a", unit_desc(1));
+  wm.enqueue_unit("m2a", unit_desc(2));
+  wm.enqueue_unit("big", unit_desc(4));  // never fits a 3-core pilot
+  wm.enqueue_unit("m2b", unit_desc(2));
+  wm.enqueue_unit("s1b", unit_desc(1));
+  ASSERT_TRUE(wm.requeue_unit_front("m2r", unit_desc(2)));
+  EXPECT_EQ(wm.queued_unit_ids(),
+            (Ids{"big", "m2r", "m2a", "m2b", "s1a", "s1b"}));
+  // m2r takes two cores, the other 2-core units do not fit, s1a does.
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"m2r", "s1a"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"big", "m2a", "m2b", "s1b"}));
+  wm.unit_finished("m2r");
+  wm.unit_finished("s1a");
+  EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"m2a", "s1b"}));
+  EXPECT_EQ(seen, (Ids{"big", "m2a", "m2b", "s1b"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"big", "m2b"}));
+}
+
+TEST(WorkloadManagerCompaction, FairShareTakesThatAreNotAPrefix) {
+  StubAdmission adm;
+  WorkloadManager wm(make_scheduler("fifo"));
+  wm.set_admission(&adm);
+  wm.set_fair_share(true);
+  wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9);
+  for (int i = 0; i < 3; ++i) {
+    wm.enqueue_unit("a-" + std::to_string(i), tenant_unit("a"));
+  }
+  for (int i = 0; i < 3; ++i) {
+    wm.enqueue_unit("b-" + std::to_string(i), tenant_unit("b"));
+  }
+  // The interleave presents a-0, b-0, ...: queue positions 0 and 3.
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"a-0", "b-0"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"a-1", "a-2", "b-1", "b-2"}));
+  wm.unit_finished("a-0");
+  wm.unit_finished("b-0");
+  EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"a-1", "b-1"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"a-2", "b-2"}));
+}
+
+TEST(WorkloadManagerCompaction, RemoveQueuedUnitBetweenPasses) {
+  std::vector<std::string> seen;
+  WorkloadManager wm(
+      std::make_unique<ViewRecorder>(make_scheduler("backfill"), &seen));
+  wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
+  wm.enqueue_unit("X", unit_desc(4));  // never fits a 2-core pilot
+  for (int i = 0; i < 5; ++i) {
+    wm.enqueue_unit("u" + std::to_string(i), unit_desc(1));
+  }
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"u0", "u1"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"X", "u2", "u3", "u4"}));
+  EXPECT_TRUE(wm.remove_queued_unit("u3"));
+  wm.unit_finished("u0");
+  wm.unit_finished("u1");
+  wm.enqueue_unit("u5", unit_desc(1));
+  EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"u2", "u4"}));
+  EXPECT_EQ(seen, (Ids{"X", "u2", "u4", "u5"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"X", "u5"}));
+  EXPECT_EQ(wm.queued_units(), 2u);
+}
+
+/// Best-of-5 time of `passes` schedule passes, each binding 2 units off
+/// a standing backlog of `depth` (finished and replaced after each pass,
+/// so the depth holds).
+double seconds_per_passes(std::size_t depth, int passes) {
+  WorkloadManager wm(make_scheduler("backfill"));
+  wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
+  std::size_t next = 0;
+  while (next < depth) {
+    wm.enqueue_unit("u" + std::to_string(next++), unit_desc(1));
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 5; ++trial) {
+    std::chrono::steady_clock::duration elapsed{};
+    for (int k = 0; k < passes; ++k) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto out = wm.schedule_pass(0.0, nullptr);
+      elapsed += std::chrono::steady_clock::now() - start;
+      EXPECT_EQ(out.size(), 2u);
+      for (const auto& a : out) {
+        wm.unit_finished(a.unit_id);
+        wm.enqueue_unit("u" + std::to_string(next++), unit_desc(1));
+      }
+    }
+    best = std::min(best, std::chrono::duration<double>(elapsed).count());
+  }
+  EXPECT_EQ(wm.queued_units(), depth);
+  return best;
+}
+
+TEST(WorkloadManagerCompaction, PassCostIndependentOfQueueDepth) {
+  // A pass that binds 2 units must not pay for the 64k units behind
+  // them. A ratio (not an absolute time) stays meaningful under the
+  // sanitizer builds; compacting the whole queue made it ~60x.
+  constexpr int kPasses = 256;
+  const double shallow = seconds_per_passes(1024, kPasses);
+  const double deep = seconds_per_passes(65536, kPasses);
+  EXPECT_LT(deep, 4.0 * shallow)
+      << "depth 1k: " << shallow << " s, depth 64k: " << deep << " s";
 }
 
 }  // namespace

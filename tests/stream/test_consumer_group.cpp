@@ -109,6 +109,26 @@ TEST_F(ConsumerGroupTest, UncommittedMessagesRedelivered) {
   EXPECT_EQ(b.poll(1000).size(), 60u);
 }
 
+TEST_F(ConsumerGroupTest, RebalanceFencesCommitOfInFlightBatch) {
+  // m1 polls everything, then m2 joins before m1 commits. The stale
+  // commit must not land: m2 now owns half the partitions and re-reads
+  // them, so each message is committed by exactly one member.
+  GroupCoordinator coord(broker_);
+  Consumer a(broker_, coord, "t", "g", "m1");
+  EXPECT_EQ(a.poll(1000).size(), 60u);
+  Consumer b(broker_, coord, "t", "g", "m2");
+  EXPECT_FALSE(a.commit());
+  EXPECT_EQ(coord.lag("t", "g"), 60u);
+  std::size_t committed = 0;
+  for (Consumer* c : {&a, &b}) {
+    const auto batch = c->poll(1000);
+    ASSERT_TRUE(c->commit());
+    committed += batch.size();
+  }
+  EXPECT_EQ(committed, 60u);
+  EXPECT_EQ(coord.lag("t", "g"), 0u);
+}
+
 TEST_F(ConsumerGroupTest, LagTracksConsumption) {
   GroupCoordinator coord(broker_);
   EXPECT_EQ(coord.lag("t", "g"), 60u);
