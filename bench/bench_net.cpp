@@ -232,7 +232,7 @@ struct Farm {
 /// the shipped defaults).
 struct RemoteBenchOptions {
   net::BatchFlusherConfig flusher;  ///< manager dispatch + agent outbox
-  int dispatch_window_factor = 4;
+  int queue_factor = rt::AgentEndpointConfig{}.queue_factor;
 };
 
 Throughput bench_remote(net::Transport& transport,
@@ -246,12 +246,12 @@ Throughput bench_remote(net::Transport& transport,
   config.heartbeat_interval_seconds = 0.05;
   config.metrics = metrics;
   config.flusher = options.flusher;
-  config.dispatch_window_factor = options.dispatch_window_factor;
   std::unique_ptr<rt::RemoteRuntime> runtime;
   config.launcher = [&](const std::string& pilot_id,
                         const std::string& endpoint) {
     rt::AgentEndpointConfig agent_config;
     agent_config.flusher = options.flusher;
+    agent_config.queue_factor = options.queue_factor;
     auto agent = std::make_unique<rt::AgentEndpoint>(
         transport, endpoint, pilot_id, runtime->payloads(), agent_config);
     check::MutexLock lock(farm.mu);
@@ -434,33 +434,35 @@ int main(int argc, char** argv) {
   e2e.print(std::cout);
 
   // 3b. Sensitivity of the bulk protocol: how units/s over InProc responds
-  // to the flusher's batch bound and the manager's dispatch-window depth.
+  // to the flusher's batch bound and the pilot's dispatch depth (the
+  // agent's queue_factor: queue capacity = factor × cores, which is also
+  // the most units the service keeps in flight on the pilot).
   // max_batch=1 approximates the old one-message-per-unit protocol;
-  // window_factor=1 caps in-flight work at the agent's core count.
+  // queue_factor=1 caps in-flight work at the agent's core count.
   Table sweep("E14e: batching sensitivity, remote/inproc units/s");
   sweep.set_columns({Column{"max_batch", 0, true},
-                     Column{"window_factor", 0, true},
+                     Column{"queue_factor", 0, true},
                      Column{"units_per_s", 0, true},
                      Column{"vs_local_pct", 1, true}});
   struct SweepPoint {
     std::size_t max_batch;
-    int window_factor;
+    int queue_factor;
   };
   const SweepPoint points[] = {
-      {1, 4}, {8, 4}, {32, 4}, {128, 4}, {32, 1}, {32, 16}};
+      {1, 16}, {8, 16}, {32, 16}, {128, 16}, {32, 1}, {32, 4}};
   for (const SweepPoint& p : points) {
     RemoteBenchOptions options;
     options.flusher.max_batch = p.max_batch;
-    options.dispatch_window_factor = p.window_factor;
+    options.queue_factor = p.queue_factor;
     net::InProcTransport transport;
     std::cerr << "  [sweep] max_batch=" << p.max_batch
-              << " window_factor=" << p.window_factor << "..." << std::flush;
+              << " queue_factor=" << p.queue_factor << "..." << std::flush;
     Throughput t = bench_remote(transport, "inproc://sweep", cores, units,
                                 nullptr, nullptr, options);
     std::cerr << " " << static_cast<std::int64_t>(t.units_per_s)
               << " units/s\n";
     sweep.add_row({static_cast<std::int64_t>(p.max_batch),
-                   static_cast<std::int64_t>(p.window_factor), t.units_per_s,
+                   static_cast<std::int64_t>(p.queue_factor), t.units_per_s,
                    100.0 * t.units_per_s / local_rate});
     transport.stop();
   }

@@ -19,7 +19,8 @@
 /// Message flow:
 ///
 ///     manager ──kStartPilot──▶ agent      (after the agent's kHello)
-///     manager ◀─kPilotActive── agent      (allocation up, cores + site)
+///     manager ◀─kPilotActive── agent      (allocation up: cores, site and
+///                                          the agent's unit-queue capacity)
 ///     manager ──kExecuteUnit─▶ agent
 ///     manager ◀──kUnitDone──── agent
 ///     manager ──kHeartbeat───▶ agent
@@ -32,8 +33,7 @@
 ///
 ///     manager ──kUnitBatch───▶ agent      (vector of units, agent
 ///                                          late-binds them to cores)
-///     manager ◀kUnitDoneBatch─ agent      (vector of completions plus the
-///                                          agent's remaining headroom)
+///     manager ◀kUnitDoneBatch─ agent      (vector of completions)
 ///
 /// Negotiation: the agent's kHello carries the agent's newest version in
 /// the header; both sides then speak min(own, peer). Batch types are only
@@ -84,20 +84,21 @@
 namespace pa::net {
 
 /// Newest protocol version this build speaks. Bump on any change to the
-/// header or a body layout; receivers reject versions outside
+/// header or on a new message type; receivers reject versions outside
 /// [kMinProtocolVersion, kProtocolVersion].
 inline constexpr std::uint8_t kProtocolVersion = 4;
 
-/// Oldest version still decodable. Version 1/2 bodies are unchanged
-/// byte-for-byte under version 3; batch types arrived in 2, object
-/// (store) types in 3, peer-transfer types in 4.
+/// Oldest version still decodable. Batch types arrived in 2, object
+/// (store) types in 3, peer-transfer types in 4. Manager and agents are
+/// always built from one tree, so a body layout is shared by every
+/// version: kPilotActive carries the queue capacity at v1 as at v4.
 inline constexpr std::uint8_t kMinProtocolVersion = 1;
 
 /// Values are stable wire identifiers — append only.
 enum class MessageType : std::uint8_t {
   kHello = 1,            ///< agent -> manager: announces pilot_id on connect
   kStartPilot = 2,       ///< manager -> agent: pilot description
-  kPilotActive = 3,      ///< agent -> manager: allocation up (cores, site)
+  kPilotActive = 3,      ///< agent -> manager: allocation up (cores, capacity, site)
   kPilotTerminated = 4,  ///< agent -> manager: final pilot state
   kExecuteUnit = 5,      ///< manager -> agent: run a unit
   kUnitDone = 6,         ///< agent -> manager: unit completion
@@ -105,7 +106,7 @@ enum class MessageType : std::uint8_t {
   kHeartbeatAck = 8,     ///< agent -> manager: echo of the probe
   kShutdown = 9,         ///< manager -> agent: cancel pilot, close down
   kUnitBatch = 10,       ///< manager -> agent: bulk unit dispatch (v2+)
-  kUnitDoneBatch = 11,   ///< agent -> manager: bulk completions + window (v2+)
+  kUnitDoneBatch = 11,   ///< agent -> manager: bulk completions (v2+)
   kObjPut = 12,          ///< manager -> agent: one object chunk to store (v3+)
   kObjGet = 13,          ///< manager -> agent: request an object (v3+)
   kObjChunk = 14,        ///< agent -> manager: one object chunk back (v3+)
@@ -171,8 +172,12 @@ struct Message {
   double cost_per_core_hour = 0.0;
   std::string pilot_attributes;  ///< pa::Config::to_string round-trip
 
-  // kPilotActive
+  // kPilotActive. `capacity` is the agent's unit-queue capacity
+  // (queue_factor × cores): the manager reports it to the service as the
+  // pilot's size, so the service never has more units in flight on the
+  // pilot than the agent can hold.
   std::int32_t total_cores = 0;
+  std::int32_t capacity = 0;
   std::string site;
 
   // kPilotTerminated
@@ -191,11 +196,8 @@ struct Message {
   // kUnitBatch (v2+)
   std::vector<WireUnitDescription> units;
 
-  // kUnitDoneBatch (v2+): completions plus the agent's scheduling window —
-  // how many more units the agent can queue (local-queue capacity minus
-  // queued and running). The manager sizes the next kUnitBatch to it.
+  // kUnitDoneBatch (v2+)
   std::vector<WireUnitDone> completions;
-  std::int32_t window = 0;
 
   // kObjPut / kObjChunk (v3+): one chunk of a content-addressed object.
   // `transfer_id` correlates every chunk of one transfer (and the kObjGet

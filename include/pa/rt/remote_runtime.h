@@ -76,11 +76,12 @@ class PayloadTable {
 
 struct AgentEndpointConfig {
   LocalRuntimeConfig local;
-  /// Local unit-queue capacity = queue_factor × pilot cores. The agent
-  /// advertises `capacity − queued − running` as its window in every
-  /// kUnitDoneBatch, so the manager ships batches sized to real headroom.
-  /// This caps the manager→agent pipeline depth: short units need depth
-  /// to cover the wire round-trip, so the agent keeps several batches of
+  /// Local unit-queue capacity = queue_factor × pilot cores. This is the
+  /// pilot's only dispatch depth: the agent announces it in kPilotActive,
+  /// the manager reports it to the service as the pilot's size, and the
+  /// service's slot accounting then never has more units in flight on the
+  /// pilot than the agent can queue and run. Short units need depth to
+  /// cover the wire round-trip, so the agent keeps several batches of
   /// queued work per slot.
   int queue_factor = 16;
   /// Completion-outbox flusher (group-commit batching of kUnitDone).
@@ -163,7 +164,7 @@ class AgentEndpoint {
     std::size_t queued = 0;       ///< units awaiting a slot
     std::size_t outstanding = 0;  ///< units running in the LocalRuntime
     std::int32_t slots = 0;       ///< pilot cores (0 until kPilotActive)
-    std::int32_t window = 0;      ///< headroom advertised to the manager
+    std::int32_t window = 0;      ///< free queue slots (capacity − held)
     std::size_t outbox_pending = 0;  ///< completions awaiting a flush
   };
   SchedulerStats scheduler_stats() const;
@@ -229,7 +230,11 @@ class AgentEndpoint {
   /// Bypasses the outbox (heartbeat acks: batching them would inflate the
   /// manager's RTT histogram, and losing one is harmless).
   void send_direct(net::Message message);
-  std::int32_t window();
+  /// queue_factor × cores (each at least 1): the most units the agent
+  /// holds, queued plus running.
+  std::int32_t queue_capacity(int cores) const;
+  /// Pushes kPilotActive (cores, queue capacity, site) to the manager.
+  void announce_active();
 
   const std::string pilot_id_;
   const AgentEndpointConfig config_;
@@ -262,7 +267,9 @@ class AgentEndpoint {
 
   // Cached kPilotActive body for idempotent duplicate kStartPilot
   // handling after a reconnect; site_/cores_ are published before
-  // active_sent_ (release) and only read after it (acquire).
+  // active_sent_ (release) and only read after it (acquire). The queue
+  // capacity is recomputed from cores, so the re-announce carries the
+  // same depth as the first one.
   int active_cores_ = 0;
   std::string active_site_;
   std::atomic<bool> active_sent_{false};
@@ -301,11 +308,6 @@ struct RemoteRuntimeConfig {
   /// Dead after `heartbeat_interval_seconds * heartbeat_miss_limit`
   /// without an ack (or any other sign of life).
   int heartbeat_miss_limit = 4;
-  /// Pipeline depth per agent core: the manager reports
-  /// `agent cores × factor` to the service so enough units are in flight
-  /// to keep agent queues fed (the agent still binds to real cores; the
-  /// factor only deepens the dispatch pipeline the batches draw from).
-  int dispatch_window_factor = 4;
   /// Unit-dispatch flusher (group-commit batching of kExecuteUnit into
   /// kUnitBatch frames).
   net::BatchFlusherConfig flusher;
@@ -366,7 +368,6 @@ class RemoteRuntime : public core::Runtime {
     core::PilotDescription description;
     core::PilotRuntimeCallbacks callbacks;
     net::ConnectionPtr conn;  ///< null until the agent's kHello
-    bool active = false;
     double last_alive = 0.0;  ///< runtime-clock time of last sign of life
     std::uint64_t hello_count = 0;  ///< re-hellos = agent reconnects
     std::uint64_t seq = 0;
@@ -376,11 +377,6 @@ class RemoteRuntime : public core::Runtime {
     /// ("" for v3 agents); handed to the store so grants can name this
     /// pilot as a transfer source.
     std::string peer_endpoint;
-    /// Dispatch credits: how many more units the agent can absorb.
-    /// Seeded at kPilotActive (cores × dispatch_window_factor), debited
-    /// per shipped unit, credited per completion, and refreshed to the
-    /// agent's self-reported headroom on every kUnitDoneBatch.
-    std::int64_t window = 0;
     /// Max units per kUnitBatch frame; halves on transport reject so
     /// oversized frames shrink until they fit, doubles on success.
     std::size_t flush_cap = 0;
@@ -393,9 +389,11 @@ class RemoteRuntime : public core::Runtime {
   bool send_on(const net::ConnectionPtr& conn, net::Message message);
   /// Dispatch sink: groups queued kExecuteUnit messages by pilot,
   /// arena-encodes them as kUnitBatch (or per-unit frames for v1 peers)
-  /// sized to min(window, flush_cap), and gathers them into the agent's
-  /// connection. Returns what could not ship yet (no connection, no
-  /// window, transport reject) for retry.
+  /// of at most flush_cap units, and gathers them into the agent's
+  /// connection. Returns what could not ship yet (no connection,
+  /// transport reject) for retry. The service binds at most the agent's
+  /// announced queue capacity to a pilot, so everything queued for it
+  /// fits the agent.
   std::vector<net::Message> dispatch(std::vector<net::Message> batch,
                                      net::FlushReason reason);
 

@@ -246,6 +246,7 @@ void encode_message_into(std::string& out, const Message& m) {
       break;
     case MessageType::kPilotActive:
       put_i32(out, m.total_cores);
+      put_i32(out, m.capacity);
       put_string(out, m.site);
       break;
     case MessageType::kPilotTerminated:
@@ -270,7 +271,6 @@ void encode_message_into(std::string& out, const Message& m) {
       }
       break;
     case MessageType::kUnitDoneBatch:
-      put_i32(out, m.window);
       put_u32(out, static_cast<std::uint32_t>(m.completions.size()));
       for (const WireUnitDone& d : m.completions) {
         put_string(out, d.unit_id);
@@ -392,6 +392,7 @@ Message decode_message(const char* data, std::size_t size) {
       break;
     case MessageType::kPilotActive:
       m.total_cores = c.take<std::int32_t>();
+      m.capacity = c.take<std::int32_t>();
       m.site = c.take_string();
       break;
     case MessageType::kPilotTerminated: {
@@ -424,7 +425,6 @@ Message decode_message(const char* data, std::size_t size) {
       break;
     }
     case MessageType::kUnitDoneBatch: {
-      m.window = c.take<std::int32_t>();
       const auto n = take_batch_count(c, kMinWireUnitDoneBytes);
       m.completions.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {

@@ -376,8 +376,13 @@ void TcpTransport::Impl::run() {
         set_nodelay(client);
         auto conn = std::make_shared<TcpConnection>(this, ConnectionHandlers{});
         conn->fd_ = client;
-        // Acceptor contract: runs on the I/O thread, may not close.
+        // Acceptor contract: runs on the I/O thread, may not close. The
+        // acceptor may publish `conn` to a thread that closes it before
+        // the handlers below are stored; the dispatching_ guard makes that
+        // close() wait for them (it reads handlers_ in fire_on_close).
+        conn->dispatching_.store(1);
         conn->handlers_ = listener->on_accept(conn);
+        conn->dispatching_.store(0);
         check::MutexLock lock(mu);
         if (stopping) {
           return;

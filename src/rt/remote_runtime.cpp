@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <iterator>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -341,15 +342,12 @@ void AgentEndpoint::handle_xfer_token(const net::Message& m) {
   }
 }
 
-std::int32_t AgentEndpoint::window() {
-  check::MutexLock lock(sched_mu_);
+std::int32_t AgentEndpoint::queue_capacity(int cores) const {
   const std::int64_t capacity =
-      static_cast<std::int64_t>(std::max(slots_, 1)) *
+      static_cast<std::int64_t>(std::max(cores, 1)) *
       static_cast<std::int64_t>(std::max(config_.queue_factor, 1));
-  const std::int64_t used =
-      static_cast<std::int64_t>(queue_.size()) + outstanding_;
-  const std::int64_t free = capacity - used;
-  return free > 0 ? static_cast<std::int32_t>(free) : 0;
+  return static_cast<std::int32_t>(std::min<std::int64_t>(
+      capacity, std::numeric_limits<std::int32_t>::max()));
 }
 
 AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
@@ -359,15 +357,23 @@ AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
     s.queued = queue_.size();
     s.outstanding = static_cast<std::size_t>(outstanding_);
     s.slots = slots_;
-    const std::int64_t capacity =
-        static_cast<std::int64_t>(std::max(slots_, 1)) *
-        static_cast<std::int64_t>(std::max(config_.queue_factor, 1));
-    const std::int64_t free =
-        capacity - static_cast<std::int64_t>(queue_.size()) - outstanding_;
+    const std::int64_t free = std::int64_t{queue_capacity(slots_)} -
+                              static_cast<std::int64_t>(queue_.size()) -
+                              outstanding_;
     s.window = free > 0 ? static_cast<std::int32_t>(free) : 0;
   }
   s.outbox_pending = outbox_.pending();
   return s;
+}
+
+void AgentEndpoint::announce_active() {
+  net::Message r;
+  r.type = net::MessageType::kPilotActive;
+  r.total_cores = active_cores_;
+  r.capacity = queue_capacity(active_cores_);
+  r.site = active_site_;
+  outbox_.push(std::move(r));
+  outbox_.kick();
 }
 
 void AgentEndpoint::send_direct(net::Message message) {
@@ -391,9 +397,7 @@ std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
     std::size_t end = i;
     const std::size_t cap = merge_cap_.load();
     if (version >= 2 && batch[i].type == net::MessageType::kUnitDone) {
-      // Merge the run of completions into one kUnitDoneBatch frame,
-      // carrying the scheduler's current headroom for the manager's
-      // dispatch window.
+      // Merge the run of completions into one kUnitDoneBatch frame.
       net::Message b;
       b.type = net::MessageType::kUnitDoneBatch;
       b.version = version;
@@ -404,7 +408,6 @@ std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
             batch[end].unit_id, batch[end].success, batch[end].timestamp});
         ++end;
       }
-      b.window = window();
       b.seq = seq_.fetch_add(1);
       net::append_message_frame(arena_, b);
       frames = 1;
@@ -533,12 +536,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         // Duplicate after a reconnect: the pilot is already running.
         // Re-announce ACTIVE (the manager may have missed it).
         if (active_sent_.load(std::memory_order_acquire)) {
-          net::Message r;
-          r.type = net::MessageType::kPilotActive;
-          r.total_cores = active_cores_;
-          r.site = active_site_;
-          outbox_.push(std::move(r));
-          outbox_.kick();
+          announce_active();
         }
         return;
       }
@@ -558,12 +556,7 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         active_cores_ = total_cores;
         active_site_ = site;
         active_sent_.store(true, std::memory_order_release);
-        net::Message r;
-        r.type = net::MessageType::kPilotActive;
-        r.total_cores = total_cores;
-        r.site = site;
-        outbox_.push(std::move(r));
-        outbox_.kick();
+        announce_active();
         pump();  // units may already be queued behind the allocation
       };
       callbacks.on_terminated = [this](const std::string&,
@@ -656,8 +649,6 @@ RemoteRuntime::RemoteRuntime(net::Transport& transport,
                  "heartbeat interval must be positive");
   PA_REQUIRE_ARG(config_.heartbeat_miss_limit > 0,
                  "heartbeat miss limit must be positive");
-  PA_REQUIRE_ARG(config_.dispatch_window_factor >= 1,
-                 "dispatch window factor must be >= 1");
   endpoint_ = transport_.listen(
       config_.listen_endpoint, [this](const net::ConnectionPtr& conn) {
         {
@@ -891,8 +882,8 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
     }
   }
   // The hot path ends here: the dispatch flusher coalesces queued units
-  // into kUnitBatch frames sized to the agent's window. Pushed with
-  // mutex_ released — the flusher lock ranks below ours.
+  // into kUnitBatch frames. Pushed with mutex_ released — the flusher
+  // lock ranks below ours.
   dispatch_->push(std::move(m));
 }
 
@@ -937,19 +928,9 @@ std::vector<net::Message> RemoteRuntime::dispatch(
           conn = entry.conn;
           version = entry.peer_version;
           cap = std::max<std::size_t>(1, entry.flush_cap);
-          if (conn != nullptr && entry.window > 0) {
-            take = std::min({msgs.size() - i,
-                             static_cast<std::size_t>(entry.window), cap});
+          if (conn != nullptr) {
+            take = std::min(msgs.size() - i, cap);
           }
-          // Reserve the credits NOW, atomically with computing `take`.
-          // Debiting after the (unlocked) send raced with the agent's
-          // absolute window refresh: if the completion batch for these
-          // very units landed between send and debit, the debit applied
-          // on top of a window that already accounted for them, leaking
-          // credits until the window wedged at 0 with an idle agent —
-          // a permanent dispatch stall. Reserve-then-send closes that
-          // window; a transport reject credits the reservation back.
-          entry.window -= static_cast<std::int64_t>(take);
           if (take > 0) {
             if (version >= 2) {
               b.type = net::MessageType::kUnitBatch;
@@ -976,7 +957,7 @@ std::vector<net::Message> RemoteRuntime::dispatch(
         }
       }
       if (drop_rest || take == 0) {
-        break;  // drop, or retain msgs[i..) below (no conn / no window)
+        break;  // drop, or retain msgs[i..) below (no conn)
       }
       if (conn->send_gather(arena_, frames)) {
         {
@@ -996,11 +977,8 @@ std::vector<net::Message> RemoteRuntime::dispatch(
           check::MutexLock lock(mutex_);
           const auto it = pilots_.find(pilot_id);
           if (it != pilots_.end()) {
-            // Nothing shipped: return the reserved credits (a concurrent
-            // absolute refresh may make this a transient over-grant,
-            // which only deepens the agent queue; never a loss) and
-            // shrink the next frame until it fits the send queue.
-            it->second->window += static_cast<std::int64_t>(take);
+            // Nothing shipped: shrink the next frame until it fits the
+            // send queue.
             it->second->flush_cap = cap > 1 ? cap / 2 : 1;
           }
         }
@@ -1116,13 +1094,7 @@ void RemoteRuntime::handle_message(
         if (it == pilots_.end()) {
           return;
         }
-        it->second->active = true;
         it->second->last_alive = now();
-        // Seed the dispatch window: factor × cores keeps the agent's
-        // late-binding queue fed while real cores drain it.
-        it->second->window =
-            static_cast<std::int64_t>(m.total_cores) *
-            config_.dispatch_window_factor;
         peer_version = it->second->peer_version;
         peer_endpoint = it->second->peer_endpoint;
         cb = it->second->callbacks.on_active;
@@ -1137,12 +1109,12 @@ void RemoteRuntime::handle_message(
       }
       // Callbacks run with no net lock held: they re-enter the service
       // (rank 10 < ours) — see the lock-hierarchy note in the header.
-      // The reported capacity is inflated by the window factor so the
-      // service keeps a deep enough pipeline for bulk dispatch; the
-      // agent still binds units to its real cores.
+      // The service sizes the pilot by the agent's queue capacity, not
+      // its cores: the service's slot accounting is then the dispatch
+      // flow control, and the agent still binds units to its real cores.
+      // A re-announce after a reconnect repeats the same capacity.
       if (cb) {
-        cb(m.pilot_id, m.total_cores * config_.dispatch_window_factor,
-           m.site);
+        cb(m.pilot_id, m.capacity, m.site);
       }
       dispatch_->kick();  // units may already be queued for this pilot
       break;
@@ -1198,7 +1170,6 @@ void RemoteRuntime::handle_message(
           return;
         }
         it->second->last_alive = now();
-        it->second->window += 1;  // one slot freed
         const auto unit_it = it->second->inflight.find(m.unit_id);
         if (unit_it != it->second->inflight.end()) {
           done = std::move(unit_it->second);
@@ -1213,7 +1184,6 @@ void RemoteRuntime::handle_message(
       }
       // else: stale completion for a requeued attempt; dropped, exactly
       // like the service's own attempt tagging.
-      dispatch_->kick();
       break;
     }
     case net::MessageType::kUnitDoneBatch: {
@@ -1225,9 +1195,6 @@ void RemoteRuntime::handle_message(
           return;
         }
         it->second->last_alive = now();
-        // Absolute refresh from the agent's self-reported headroom: this
-        // corrects any credit drift from retained or lost frames.
-        it->second->window = m.window;
         dones.reserve(m.completions.size());
         for (const net::WireUnitDone& d : m.completions) {
           const auto unit_it = it->second->inflight.find(d.unit_id);
@@ -1246,7 +1213,6 @@ void RemoteRuntime::handle_message(
           done(success);
         }
       }
-      dispatch_->kick();  // fresh window: ship whatever queued up
       break;
     }
     case net::MessageType::kHeartbeatAck: {
@@ -1289,7 +1255,6 @@ void RemoteRuntime::heartbeat_loop() {
     std::vector<DeadPilot> dead;
     std::vector<net::ConnectionPtr> zombies;
     std::uint64_t reconnects = 0;
-    std::int64_t window_sum = 0;
     std::uint64_t inflight_sum = 0;
     for (auto it = pilots_.begin(); it != pilots_.end();) {
       auto& entry = it->second;
@@ -1312,7 +1277,6 @@ void RemoteRuntime::heartbeat_loop() {
         pings.emplace_back(entry->conn, std::move(hb));
         reconnects += entry->hello_count > 0 ? entry->hello_count - 1 : 0;
       }
-      window_sum += entry->window;
       inflight_sum += entry->inflight.size();
       ++it;
     }
@@ -1367,8 +1331,6 @@ void RemoteRuntime::heartbeat_loop() {
           .set(static_cast<double>(queue_hwm));
       config_.metrics->gauge("net.reconnects")
           .set(static_cast<double>(reconnects));
-      config_.metrics->gauge("net.dispatch_window")
-          .set(static_cast<double>(window_sum));
       config_.metrics->gauge("net.dispatch_inflight")
           .set(static_cast<double>(inflight_sum));
       config_.metrics->gauge("net.dispatch_pending")

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "pa/common/error.h"
@@ -38,13 +39,20 @@ TEST(Message, StartPilotRoundTrips) {
 }
 
 TEST(Message, PilotActiveRoundTrips) {
-  Message m;
-  m.type = MessageType::kPilotActive;
-  m.seq = 9;
-  m.pilot_id = "p";
-  m.total_cores = 128;
-  m.site = "cluster-a";
-  EXPECT_EQ(round_trip(m), m);
+  // The agent's queue capacity is the pilot's dispatch depth; it must
+  // survive the wire at every version a down-level test peer may speak.
+  for (std::uint8_t version = kMinProtocolVersion; version <= kProtocolVersion;
+       ++version) {
+    Message m;
+    m.type = MessageType::kPilotActive;
+    m.version = version;
+    m.seq = 9;
+    m.pilot_id = "p";
+    m.total_cores = 128;
+    m.capacity = 2048;
+    m.site = "cluster-a";
+    EXPECT_EQ(round_trip(m), m) << int{version};
+  }
 }
 
 TEST(Message, PilotTerminatedRoundTrips) {
@@ -131,20 +139,10 @@ TEST(Message, UnitDoneBatchRoundTrips) {
   m.type = MessageType::kUnitDoneBatch;
   m.seq = 99;
   m.pilot_id = "pilot-2";
-  m.window = 17;
   for (int i = 0; i < 4; ++i) {
     m.completions.push_back(
         WireUnitDone{"unit-" + std::to_string(i), (i % 2) == 0, 1.5 * i});
   }
-  EXPECT_EQ(round_trip(m), m);
-}
-
-TEST(Message, NegativeWindowRoundTrips) {
-  // The window is a signed credit; an overcommitted agent may report < 0.
-  Message m;
-  m.type = MessageType::kUnitDoneBatch;
-  m.pilot_id = "p";
-  m.window = -3;
   EXPECT_EQ(round_trip(m), m);
 }
 
@@ -219,7 +217,6 @@ TEST(Message, TruncatedBatchRejected) {
   Message m;
   m.type = MessageType::kUnitDoneBatch;
   m.pilot_id = "pilot-1";
-  m.window = 4;
   m.completions.push_back(WireUnitDone{"unit-1", true, 1.0});
   m.completions.push_back(WireUnitDone{"unit-2", false, 2.0});
   std::string bytes = encode_message(m);
@@ -275,13 +272,22 @@ TEST(Message, UnknownTypeRejected) {
 }
 
 TEST(Message, TruncatedBodyRejected) {
-  Message m;
-  m.type = MessageType::kStartPilot;
-  m.pilot_id = "pilot-long-name";
-  m.resource_url = "remote://site";
-  std::string bytes = encode_message(m);
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_THROW(decode_message(bytes.data(), cut), pa::Error) << cut;
+  Message start;
+  start.type = MessageType::kStartPilot;
+  start.pilot_id = "pilot-long-name";
+  start.resource_url = "remote://site";
+  Message active;
+  active.type = MessageType::kPilotActive;
+  active.pilot_id = "pilot-long-name";
+  active.total_cores = 2;
+  active.capacity = 32;
+  active.site = "site";
+  for (const Message& m : {start, active}) {
+    const std::string bytes = encode_message(m);
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      EXPECT_THROW(decode_message(bytes.data(), cut), pa::Error)
+          << to_string(m.type) << " cut at " << cut;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -517,11 +518,15 @@ TEST(RemoteRuntime, UndersizedSendQueueLosesNoUnits) {
                     /*heartbeat_interval=*/0.1, /*miss_limit=*/30, &registry,
                     manager_flusher);
   stack.agent_config.metrics = &registry;
-  // Non-eager agent outbox too: completions accumulate for 10ms before the
-  // first merge, so at least one kUnitDoneBatch frame is guaranteed to
-  // exceed the 768-byte queue no matter how the suite is scheduled.
+  // Non-eager agent outbox that flushes by size: the pilot holds at most
+  // 4 cores × queue_factor 16 = 64 units, so completions pile up until a
+  // full 64 are pending and merge into a ~1.3 KB kUnitDoneBatch frame.
+  // That frame cannot fit the 768-byte queue however the suite is
+  // scheduled (a short time trigger lets slow builds flush small frames).
+  // The final partial round waits out the 1 s time trigger.
   stack.agent_config.flusher.eager = false;
-  stack.agent_config.flusher.max_delay_seconds = 0.01;
+  stack.agent_config.flusher.max_batch = 64;
+  stack.agent_config.flusher.max_delay_seconds = 1.0;
 
   Pilot pilot = stack.service->submit_pilot(remote_pilot(4, "site-a"));
   pilot.wait_active(10.0);
@@ -558,6 +563,8 @@ TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
   stack.agent_config.flusher.eager = false;
   stack.agent_config.flusher.max_delay_seconds = 3600.0;
   stack.agent_config.flusher.max_batch = 1 << 20;
+  // Pilot depth 2 cores × queue_factor 4 = 8 in-flight units.
+  stack.agent_config.queue_factor = 4;
 
   Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
   p1.wait_active(10.0);
@@ -571,9 +578,9 @@ TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
     d.work = [&executions]() { executions.fetch_add(1); };
     units.push_back(stack.service->submit_unit(d));
   }
-  // With completions never shipping, the manager's dispatch window (2
-  // cores × factor 4 = 8) exhausts after 8 units; the agent executes
-  // exactly those 8 and buffers their completions.
+  // With completions never shipping, the service's 8 slots on the pilot
+  // stay taken after 8 units; the agent executes exactly those 8 and
+  // buffers their completions.
   const double start = pa::wall_seconds();
   while (executions.load() < 8 && pa::wall_seconds() - start < 10.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -602,6 +609,111 @@ TEST(RemoteRuntime, KilledAgentFlushesBufferedCompletionsExactlyOnce) {
   // Exactly-once: 8 executions on the dead pilot + 16 on the replacement.
   // A dropped final flush would re-execute the buffered 8 (executions 32).
   EXPECT_EQ(executions.load(), kUnits);
+  transport.stop();
+}
+
+// Regression: the agent's queue capacity (queue_factor × cores) is the
+// pilot's only dispatch depth. While no completion reaches the manager,
+// the service keeps exactly that many units in flight on the pilot: the
+// agent holds queue_factor × cores units (queued + running), never more,
+// and the rest wait PENDING in the service. Releasing the outbox (the
+// kill's final flush) then finishes every unit exactly once.
+TEST(RemoteRuntime, AgentNeverHoldsMoreThanItsQueueCapacity) {
+  net::InProcTransport transport;
+  RemoteStack stack(transport, "inproc://manager",
+                    /*heartbeat_interval=*/0.02, /*miss_limit=*/3);
+  constexpr int kCores = 2;
+  constexpr int kQueueFactor = 16;
+  constexpr std::size_t kCapacity = kCores * kQueueFactor;
+  constexpr int kUnits = 3 * static_cast<int>(kCapacity);
+  stack.agent_config.queue_factor = kQueueFactor;
+  // Agent outbox that never flushes on its own: completions stay buffered
+  // until the endpoint is destroyed.
+  stack.agent_config.flusher.eager = false;
+  stack.agent_config.flusher.max_delay_seconds = 3600.0;
+  stack.agent_config.flusher.max_batch = 1 << 20;
+
+  Pilot p1 = stack.service->submit_pilot(remote_pilot(kCores, "site-a"));
+  p1.wait_active(10.0);
+  AgentEndpoint* agent = stack.farm.agent(p1.id());
+  ASSERT_NE(agent, nullptr);
+
+  // Units block until `release`. The guard opens the gate on every exit,
+  // so a failed assertion cannot leave agent workers blocked in teardown.
+  std::atomic<bool> release{false};
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate.store(true); }
+  } open_gate{release};
+  std::atomic<int> executions{0};
+  std::vector<ComputeUnit> units;
+  for (int i = 0; i < kUnits; ++i) {
+    ComputeUnitDescription d;
+    d.name = "unit-" + std::to_string(i);
+    d.work = [&release, &executions]() {
+      executions.fetch_add(1);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    units.push_back(stack.service->submit_unit(d));
+  }
+
+  std::size_t peak = 0;
+  auto held = [agent, &peak] {
+    const AgentEndpoint::SchedulerStats s = agent->scheduler_stats();
+    peak = std::max(peak, s.queued + s.outstanding);
+    return s.queued + s.outstanding;
+  };
+  auto sample_for = [&held](double seconds) {
+    const double start = pa::wall_seconds();
+    while (pa::wall_seconds() - start < seconds) {
+      (void)held();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  const double start = pa::wall_seconds();
+  while (held() < kCapacity && pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sample_for(0.2);  // nothing beyond the capacity may follow
+  // EXPECT, not ASSERT: returning early would tear the stack down with
+  // units in flight and no transport stop, which can hang.
+  EXPECT_EQ(held(), kCapacity)
+      << "the agent must hold exactly queue_factor × cores units";
+  EXPECT_EQ(peak, kCapacity);
+  int pending = 0;
+  for (const ComputeUnit& u : units) {
+    pending += u.state() == UnitState::kPending ? 1 : 0;
+  }
+  EXPECT_EQ(pending, kUnits - static_cast<int>(kCapacity));
+
+  // Open the gate: the held units run and their completions sit in the
+  // outbox, so the service's slots stay taken and no unit follows even
+  // though the agent's queue is now empty.
+  release.store(true);
+  while (executions.load() < static_cast<int>(kCapacity) &&
+         pa::wall_seconds() - start < 20.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  sample_for(0.1);
+  EXPECT_EQ(executions.load(), static_cast<int>(kCapacity));
+  EXPECT_EQ(peak, kCapacity);
+
+  // Kill: the final flush ships the buffered completions; the dead pilot
+  // fails by heartbeat deadline and a replacement with a normal outbox
+  // runs the rest.
+  stack.farm.kill(p1.id());
+  stack.agent_config = AgentEndpointConfig{};
+  Pilot p2 = stack.service->submit_pilot(remote_pilot(kCores, "site-b"));
+  p2.wait_active(10.0);
+  stack.service->wait_all_units(120.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone);
+  }
+  EXPECT_EQ(stack.service->metrics().units_done,
+            static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(executions.load(), kUnits) << "a unit ran twice";
   transport.stop();
 }
 
