@@ -82,8 +82,10 @@ class Journal {
  private:
   void compact_locked() PA_REQUIRES(mutex_);
   /// Replays the wal tail appended since the last drain into the image
-  /// (mutex_ held; flushes the writer first). Const because the
-  /// lazily-materialized image is logically unchanged by draining.
+  /// (mutex_ held; flushes the writer first), streaming it frame by frame
+  /// from `applied_bytes_`. Throws once the wal diverges from what was
+  /// appended. Const because the lazily-materialized image is logically
+  /// unchanged by draining.
   void drain_image_locked() const PA_REQUIRES(mutex_);
 
   const std::string dir_;
@@ -95,6 +97,8 @@ class Journal {
   /// Wal prefix already materialized in the image.
   mutable std::uint64_t applied_bytes_ PA_GUARDED_BY(mutex_) = 0;
   mutable std::uint64_t applied_records_ PA_GUARDED_BY(mutex_) = 0;
+  /// Set once a drain found the wal torn or short of the appended history.
+  mutable bool diverged_ PA_GUARDED_BY(mutex_) = false;
   std::unique_ptr<Writer> writer_;  ///< set in ctor, immutable after
   std::size_t records_since_snapshot_ PA_GUARDED_BY(mutex_) = 0;
   std::uint64_t records_appended_ PA_GUARDED_BY(mutex_) = 0;

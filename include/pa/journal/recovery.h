@@ -4,9 +4,10 @@
 /// workload resumption on a fresh service.
 ///
 /// On startup the coordinator (1) loads the newest valid snapshot if one
-/// exists, (2) scans the wal, truncating a torn tail left by the crashed
-/// writer, (3) replays every wal record newer than the snapshot through
-/// `ManagerImage::apply`, and (4) derives a `ResumePlan`: pilots that were
+/// exists, (2) streams the wal, replaying every record newer than the
+/// snapshot through `ManagerImage::apply` as it decodes, (3) truncates the
+/// torn tail the crashed writer left, once the scan has found where it
+/// starts, and (4) derives a `ResumePlan`: pilots that were
 /// alive are resubmitted, units that never reached a terminal state are
 /// re-enqueued as fresh pending work (in-flight units become requeued
 /// work — the journal is the source of truth, not the vanished agent),
@@ -70,11 +71,11 @@ class RecoveryCoordinator {
   /// "journal.records_replayed" counters.
   void set_metrics(obs::MetricsRegistry* metrics);
 
-  /// Detects + repairs the torn tail, replays snapshot + wal. A missing
-  /// or empty journal yields an empty image (nothing to recover is a
-  /// result, not an error); malformed-but-valid frames that replay into
-  /// illegal transitions throw pa::Error, since they indicate a journal
-  /// not produced by a validated run.
+  /// Replays snapshot + wal, then repairs the torn tail. A missing or
+  /// empty journal yields an empty image (nothing to recover is a result,
+  /// not an error); malformed-but-valid frames that replay into illegal
+  /// transitions throw pa::Error and leave the wal untouched, since they
+  /// indicate a journal not produced by a validated run.
   RecoveryResult recover();
 
  private:

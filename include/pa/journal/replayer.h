@@ -10,8 +10,10 @@
 /// journal produced by a validated run can never take an edge the live
 /// run could not — the replay-equivalence property tests in
 /// tests/journal/ pin this down. The image is also what snapshots
-/// serialize: the Journal facade applies each record as it is appended,
-/// making a compacted snapshot byte-equivalent to a full-log replay.
+/// serialize: the Journal facade materializes its image by replaying the
+/// wal it wrote (a deferred drain, see journal.h), never from the records
+/// in memory, making a compacted snapshot byte-equivalent to a full-log
+/// replay.
 
 #include <cstdint>
 #include <map>

@@ -54,8 +54,10 @@ ShardedRecoveryResult recover_sharded(const std::string& base,
                                       RecoveryOptions options = {},
                                       obs::MetricsRegistry* metrics = nullptr);
 
-/// The image-merge step alone (exposed for tests): folds `images` into
-/// one ResumePlan with the terminal-wins / latest-attempt-wins rules.
-ResumePlan merge_resume_plans(const std::vector<ManagerImage>& images);
+/// The image-merge step alone (exposed for tests): folds `images` (in
+/// stream order, none null) into one ResumePlan with the terminal-wins /
+/// latest-attempt-wins rules. The plan copies descriptions out, so the
+/// images need only outlive the call.
+ResumePlan merge_resume_plans(const std::vector<const ManagerImage*>& images);
 
 }  // namespace pa::journal

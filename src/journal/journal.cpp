@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <fstream>
 #include <utility>
 
 #include "pa/common/error.h"
@@ -73,32 +72,32 @@ std::uint64_t Journal::append(Record record) {
 }
 
 void Journal::drain_image_locked() const {
+  const auto diverged = [this] {
+    return Error("journal wal " + wal_path(dir_) +
+                 " diverged from appended history (torn or truncated "
+                 "mid-run)");
+  };
+  if (diverged_) {
+    throw diverged();
+  }
   if (applied_records_ == records_appended_) {
     return;
   }
-  // Settle the wal, then replay the bytes appended since the last drain —
-  // materializing the image from the log keeps the two equivalent by
-  // construction.
+  // Settle the wal, then replay the bytes appended since the last drain,
+  // one frame at a time — materializing the image from the log keeps the
+  // two equivalent by construction.
   writer_->flush();
-  std::ifstream in(wal_path(dir_), std::ios::binary);
-  if (!in) {
-    throw Error("cannot read back journal wal " + wal_path(dir_));
+  const ScanSummary tail = scan_file(
+      wal_path(dir_), [this](Record&& record) { image_.apply(record); },
+      applied_bytes_);
+  if (tail.torn || applied_records_ + tail.record_count != records_appended_) {
+    // The image already holds the frames read before the divergence, so
+    // it matches no history any more: every later drain refuses too.
+    diverged_ = true;
+    throw diverged();
   }
-  in.seekg(static_cast<std::streamoff>(applied_bytes_));
-  std::string tail((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const ReadResult result = scan(tail.data(), tail.size());
-  if (result.torn || applied_records_ + result.records.size() !=
-                         records_appended_) {
-    throw Error("journal wal " + wal_path(dir_) +
-                " diverged from appended history (torn or truncated "
-                "mid-run)");
-  }
-  for (const Record& record : result.records) {
-    image_.apply(record);
-  }
-  applied_records_ += result.records.size();
-  applied_bytes_ += result.valid_bytes;
+  applied_records_ += tail.record_count;
+  applied_bytes_ = tail.valid_bytes;
 }
 
 void Journal::flush() {

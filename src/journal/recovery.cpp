@@ -26,8 +26,20 @@ RecoveryResult RecoveryCoordinator::recover() {
   result.snapshot_loaded =
       Snapshot::load(Journal::snapshot_path(dir_), &result.image);
 
+  // Apply each wal record as it decodes; only the torn-tail repair waits
+  // for the end of the scan, so a replay that throws leaves the file as
+  // it found it.
   const std::string wal = Journal::wal_path(dir_);
-  ReadResult scan = read_journal(wal);
+  const ScanSummary scan = scan_file(wal, [&result](Record&& record) {
+    if (record.seq <= result.image.last_seq()) {
+      // Stale wal entry already folded into the snapshot (crash between
+      // snapshot publish and wal truncation).
+      ++result.records_skipped;
+      return;
+    }
+    result.image.apply(record);
+    ++result.records_replayed;
+  });
   if (scan.torn) {
     result.torn_tail = true;
     result.truncated_bytes = scan.torn_bytes();
@@ -35,20 +47,9 @@ RecoveryResult RecoveryCoordinator::recover() {
       truncate_file(wal, scan.valid_bytes);
       PA_LOG(kWarn, "journal")
           << "truncated torn tail of " << wal << ": dropped "
-          << result.truncated_bytes << " bytes after "
-          << scan.records.size() << " valid records";
+          << result.truncated_bytes << " bytes after " << scan.record_count
+          << " valid records";
     }
-  }
-
-  for (const Record& record : scan.records) {
-    if (record.seq <= result.image.last_seq()) {
-      // Stale wal entry already folded into the snapshot (crash between
-      // snapshot publish and wal truncation).
-      ++result.records_skipped;
-      continue;
-    }
-    result.image.apply(record);
-    ++result.records_replayed;
   }
 
   result.recovery_seconds =

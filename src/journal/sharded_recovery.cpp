@@ -45,7 +45,7 @@ int discover_shard_count(const std::string& base) {
   return count;
 }
 
-ResumePlan merge_resume_plans(const std::vector<ManagerImage>& images) {
+ResumePlan merge_resume_plans(const std::vector<const ManagerImage*>& images) {
   // Fold every stream's view of each entity, then derive the plan from
   // the merged views with the same rules make_resume_plan uses on one.
   struct PilotMerge {
@@ -61,8 +61,8 @@ ResumePlan merge_resume_plans(const std::vector<ManagerImage>& images) {
   std::map<std::string, UnitMerge> units;
   ResumePlan plan;
 
-  for (const auto& image : images) {
-    for (const auto& [pilot_id, pilot] : image.pilots()) {
+  for (const ManagerImage* image : images) {
+    for (const auto& [pilot_id, pilot] : image->pilots()) {
       std::uint64_t ordinal = 0;
       if (id_ordinal(pilot_id, &ordinal)) {
         plan.next_pilot_ordinal =
@@ -79,7 +79,7 @@ ResumePlan merge_resume_plans(const std::vector<ManagerImage>& images) {
         m.best = &pilot;
       }
     }
-    for (const auto& [unit_id, unit] : image.units()) {
+    for (const auto& [unit_id, unit] : image->units()) {
       std::uint64_t ordinal = 0;
       if (id_ordinal(unit_id, &ordinal)) {
         plan.next_unit_ordinal = std::max(plan.next_unit_ordinal, ordinal + 1);
@@ -127,15 +127,19 @@ ShardedRecoveryResult recover_sharded(const std::string& base, int shard_count,
   }
   ShardedRecoveryResult result;
   result.shards.reserve(static_cast<std::size_t>(shard_count));
-  std::vector<ManagerImage> images;
-  images.reserve(static_cast<std::size_t>(shard_count));
   for (int shard = 0; shard < shard_count; ++shard) {
     RecoveryCoordinator coordinator(shard_journal_dir(base, shard), options);
     if (metrics != nullptr) {
       coordinator.set_metrics(metrics);
     }
     result.shards.push_back(coordinator.recover());
-    images.push_back(result.shards.back().image);
+  }
+  // Merge over the images the shard results already hold: each image
+  // exists once.
+  std::vector<const ManagerImage*> images;
+  images.reserve(result.shards.size());
+  for (const RecoveryResult& shard : result.shards) {
+    images.push_back(&shard.image);
   }
   result.plan = merge_resume_plans(images);
   PA_LOG(kInfo, "journal")

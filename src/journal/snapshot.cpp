@@ -108,43 +108,7 @@ Record placement_to_record(const std::string& site,
   return r;
 }
 
-}  // namespace
-
-void Snapshot::write(const std::string& path, const ManagerImage& image) {
-  std::string bytes;
-  std::uint64_t seq = 0;  // snapshot-file-local sequence (scanner invariant)
-
-  Record header;
-  header.type = RecordType::kSnapshotHeader;
-  header.seq = ++seq;
-  header.fields["last_seq"] = std::to_string(image.last_seq());
-  header.fields["pilots"] = std::to_string(image.pilots().size());
-  header.fields["units"] = std::to_string(image.units().size());
-  header.fields["placements"] = std::to_string(image.placements().size());
-  append_frame(bytes, header);
-
-  for (const auto& [pilot_id, pilot] : image.pilots()) {
-    Record r = pilot_to_record(pilot_id, pilot);
-    r.seq = ++seq;
-    append_frame(bytes, r);
-  }
-  for (const auto& [unit_id, unit] : image.units()) {
-    Record r = unit_to_record(unit_id, unit);
-    r.seq = ++seq;
-    append_frame(bytes, r);
-  }
-  for (const auto& [site, dus] : image.placements()) {
-    Record r = placement_to_record(site, dus);
-    r.seq = ++seq;
-    append_frame(bytes, r);
-  }
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    throw Error("cannot write snapshot " + tmp + ": " + errno_message(errno));
-  }
+void write_all(int fd, const std::string& bytes, const std::string& tmp) {
   std::size_t written = 0;
   while (written < bytes.size()) {
     const ssize_t n =
@@ -153,17 +117,61 @@ void Snapshot::write(const std::string& path, const ManagerImage& image) {
       continue;
     }
     if (n <= 0) {
-      ::close(fd);
       throw Error("snapshot write failed on " + tmp + ": " +
                   errno_message(errno));
     }
     written += static_cast<std::size_t>(n);
   }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) {
-    throw Error("snapshot fsync failed on " + tmp);
+}
+
+}  // namespace
+
+void Snapshot::write(const std::string& path, const ManagerImage& image) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) {
+    throw Error("cannot write snapshot " + tmp + ": " + errno_message(errno));
   }
+  try {
+    // Frames go out through one buffer of about kIoBufferBytes, so the
+    // writer holds the image plus that buffer, never the whole file.
+    std::string bytes;
+    std::uint64_t seq = 0;  // snapshot-file-local sequence (scanner invariant)
+    const auto emit = [&](Record&& r) {
+      r.seq = ++seq;
+      append_frame(bytes, r);
+      if (bytes.size() >= kIoBufferBytes) {
+        write_all(fd, bytes, tmp);
+        bytes.clear();
+      }
+    };
+
+    Record header;
+    header.type = RecordType::kSnapshotHeader;
+    header.fields["last_seq"] = std::to_string(image.last_seq());
+    header.fields["pilots"] = std::to_string(image.pilots().size());
+    header.fields["units"] = std::to_string(image.units().size());
+    header.fields["placements"] = std::to_string(image.placements().size());
+    emit(std::move(header));
+    for (const auto& [pilot_id, pilot] : image.pilots()) {
+      emit(pilot_to_record(pilot_id, pilot));
+    }
+    for (const auto& [unit_id, unit] : image.units()) {
+      emit(unit_to_record(unit_id, unit));
+    }
+    for (const auto& [site, dus] : image.placements()) {
+      emit(placement_to_record(site, dus));
+    }
+    write_all(fd, bytes, tmp);
+    if (::fsync(fd) != 0) {
+      throw Error("snapshot fsync failed on " + tmp);
+    }
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw Error("cannot publish snapshot " + path + ": " +
                 errno_message(errno));
@@ -171,25 +179,34 @@ void Snapshot::write(const std::string& path, const ManagerImage& image) {
 }
 
 bool Snapshot::load(const std::string& path, ManagerImage* out) {
-  ReadResult scan = read_journal(path);
-  // A snapshot must be complete: torn or empty files are rejected whole
-  // (unlike the wal, a snapshot's prefix is not a usable state).
-  if (scan.torn || scan.records.empty()) {
-    return false;
-  }
-  const Record& header = scan.records.front();
-  if (header.type != RecordType::kSnapshotHeader) {
-    return false;
-  }
+  // Stream the frames into a local image and publish it only once the
+  // whole file has proven complete: torn, empty or foreign files are
+  // rejected whole (unlike the wal, a snapshot's prefix is not a usable
+  // state).
   ManagerImage image;
-  try {
-    const auto pilots =
-        static_cast<std::size_t>(parse_int(header.fields.at("pilots"),
-                                           "pilots"));
-    const auto units = static_cast<std::size_t>(
-        parse_int(header.fields.at("units"), "units"));
-    for (std::size_t i = 1; i < scan.records.size(); ++i) {
-      const Record& r = scan.records[i];
+  bool have_header = false;
+  bool rejected = false;
+  std::size_t pilots = 0;
+  std::size_t units = 0;
+  const ScanSummary scan = scan_file(path, [&](Record&& r) {
+    if (rejected) {
+      return;
+    }
+    try {
+      if (!have_header) {
+        if (r.type != RecordType::kSnapshotHeader) {
+          rejected = true;
+          return;
+        }
+        pilots = static_cast<std::size_t>(
+            parse_int(r.fields.at("pilots"), "pilots"));
+        units = static_cast<std::size_t>(
+            parse_int(r.fields.at("units"), "units"));
+        image.last_seq_ =
+            static_cast<std::uint64_t>(std::stoull(r.fields.at("last_seq")));
+        have_header = true;
+        return;
+      }
       switch (r.type) {
         case RecordType::kSnapshotPilot:
           image.pilots_.emplace(r.entity, pilot_from_record(r));
@@ -205,16 +222,15 @@ bool Snapshot::load(const std::string& path, ManagerImage* out) {
           break;
         }
         default:
-          return false;  // foreign record type inside a snapshot
+          rejected = true;  // foreign record type inside a snapshot
       }
+    } catch (const std::exception&) {
+      rejected = true;
     }
-    if (image.pilots_.size() != pilots || image.units_.size() != units) {
-      return false;  // count mismatch: incomplete write that still parsed
-    }
-    image.last_seq_ =
-        static_cast<std::uint64_t>(std::stoull(header.fields.at("last_seq")));
-  } catch (const std::exception&) {
-    return false;
+  });
+  if (rejected || scan.torn || !have_header ||
+      image.pilots_.size() != pilots || image.units_.size() != units) {
+    return false;  // a count mismatch is an incomplete write that parsed
   }
   *out = std::move(image);
   return true;

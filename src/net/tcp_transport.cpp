@@ -384,10 +384,13 @@ void TcpTransport::Impl::run() {
         conn->handlers_ = listener->on_accept(conn);
         conn->dispatching_.store(0);
         check::MutexLock lock(mu);
+        // Listed even when stop() has begun: it collects late arrivals
+        // after joining this thread, so their handlers — which may hold
+        // the connection itself — are dropped like every other's.
+        connections.push_back(std::move(conn));
         if (stopping) {
           return;
         }
-        connections.push_back(std::move(conn));
         conn_snapshot = connections;
       }
     }
@@ -661,6 +664,14 @@ void TcpTransport::stop() {
   impl_->wake();
   if (impl_->io.joinable()) {
     impl_->io.join();
+  }
+  {
+    // Accepted while the I/O thread ran on toward its stop check.
+    check::MutexLock lock(impl_->mu);
+    for (auto& conn : impl_->connections) {
+      conns.push_back(std::move(conn));
+    }
+    impl_->connections.clear();
   }
   // I/O thread is gone: sockets are safe to touch from here, close()
   // needs no barrier, unfired on_close handlers run on this thread.

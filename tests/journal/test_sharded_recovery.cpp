@@ -95,8 +95,8 @@ TEST(ShardedRecoveryMerge, TerminalInAnyStreamWins) {
   unit_state(target, "unit-1", core::UnitState::kDone);
 
   for (const auto& images :
-       {std::vector<ManagerImage>{source, target},
-        std::vector<ManagerImage>{target, source}}) {
+       {std::vector<const ManagerImage*>{&source, &target},
+        std::vector<const ManagerImage*>{&target, &source}}) {
     const ResumePlan plan = merge_resume_plans(images);
     ASSERT_EQ(plan.completed_units.size(), 1u);
     EXPECT_EQ(plan.completed_units[0], "unit-1");
@@ -116,8 +116,8 @@ TEST(ShardedRecoveryMerge, MostAttemptsHoldsTheFreshestDescription) {
   submit_unit(b, "unit-2", 9.0);
   unit_state(b, "unit-2", core::UnitState::kPending);
 
-  for (const auto& images : {std::vector<ManagerImage>{a, b},
-                             std::vector<ManagerImage>{b, a}}) {
+  for (const auto& images : {std::vector<const ManagerImage*>{&a, &b},
+                             std::vector<const ManagerImage*>{&b, &a}}) {
     const ResumePlan plan = merge_resume_plans(images);
     ASSERT_EQ(plan.units.size(), 1u);
     EXPECT_EQ(plan.units[0].first, "unit-2");
@@ -128,7 +128,7 @@ TEST(ShardedRecoveryMerge, MostAttemptsHoldsTheFreshestDescription) {
   ManagerImage c;
   submit_unit(c, "unit-2", 7.0);
   unit_state(c, "unit-2", core::UnitState::kPending);
-  const ResumePlan plan = merge_resume_plans({b, c});
+  const ResumePlan plan = merge_resume_plans({&b, &c});
   ASSERT_EQ(plan.units.size(), 1u);
   EXPECT_DOUBLE_EQ(plan.units[0].second.duration, 7.0);
 }
@@ -139,7 +139,7 @@ TEST(ShardedRecoveryMerge, OrdinalsAdvancePastEveryStream) {
   submit_unit(a, "unit-7", 1.0);
   ManagerImage b;
   submit_unit(b, "unit-9", 1.0);
-  const ResumePlan plan = merge_resume_plans({a, b});
+  const ResumePlan plan = merge_resume_plans({&a, &b});
   EXPECT_EQ(plan.next_pilot_ordinal, 4u);
   EXPECT_EQ(plan.next_unit_ordinal, 10u);
   // pilot-3 is non-terminal in its only stream: resubmitted once.
@@ -151,7 +151,7 @@ TEST(ShardedRecoveryMerge, PilotSeenByBothStreamsResubmitsOnce) {
   submit_pilot(source, "pilot-0");
   ManagerImage target;
   submit_pilot(target, "pilot-0");  // the move's adoption chain
-  const ResumePlan plan = merge_resume_plans({source, target});
+  const ResumePlan plan = merge_resume_plans({&source, &target});
   EXPECT_EQ(plan.pilots.size(), 1u);
 }
 

@@ -253,8 +253,8 @@ TEST_F(WriterReaderTest, DumpJsonlEmitsOneLinePerRecord) {
     }
   }
   std::ostringstream out;
-  const ReadResult result = dump_jsonl(path, out);
-  EXPECT_EQ(result.records.size(), 7u);
+  const ScanSummary result = dump_jsonl(path, out);
+  EXPECT_EQ(result.record_count, 7u);
   std::size_t lines = 0;
   for (const char c : out.str()) {
     lines += c == '\n' ? 1 : 0;

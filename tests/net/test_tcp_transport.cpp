@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +36,10 @@ std::string framed(const std::string& payload) {
 struct EchoServer {
   AcceptHandler acceptor() {
     return [this](const ConnectionPtr& conn) {
+      {
+        check::MutexLock lock(mu_);
+        accepted_.push_back(conn);
+      }
       ConnectionHandlers h;
       h.on_message = [this, conn](const std::string& payload) {
         {
@@ -53,8 +58,19 @@ struct EchoServer {
     return received_.size();
   }
 
+  /// Accepted connections still alive (each echo handler holds its own).
+  std::size_t live_connections() {
+    check::MutexLock lock(mu_);
+    std::size_t live = 0;
+    for (const auto& conn : accepted_) {
+      live += conn.expired() ? 0 : 1;
+    }
+    return live;
+  }
+
   check::Mutex mu_{check::LockRank::kLeaf, "test.echo_server"};
   std::vector<std::string> received_ PA_GUARDED_BY(mu_);
+  std::vector<std::weak_ptr<Connection>> accepted_ PA_GUARDED_BY(mu_);
   std::atomic<int> closes_{0};
 };
 
@@ -239,6 +255,62 @@ TEST(TcpTransport, BackpressureRejectsWhenQueueFull) {
   EXPECT_TRUE(rejected);
   EXPECT_GE(client->stats().send_rejected, 1u);
   transport.stop();
+}
+
+// stop() must release every accepted connection, even one whose echo
+// handler captures it and whose accept races the stop: run the flood
+// above to its stop() many times (under ASan a survivor is also a leak).
+TEST(TcpTransport, FloodThenStopReleasesEveryConnection) {
+  PA_NET_REQUIRE_TCP();
+  for (int round = 0; round < 25; ++round) {
+    TcpTransportConfig config;
+    config.max_send_queue_bytes = 16 * 1024;
+    TcpTransport transport(config);
+    EchoServer server;
+    const std::string endpoint =
+        transport.listen("127.0.0.1:0", server.acceptor());
+    ConnectionHandlers h;
+    h.on_message = [](const std::string&) {};
+    ConnectionPtr client = transport.connect(endpoint, h);
+    const std::string payload(8 * 1024, 'x');
+    for (int i = 0; i < 1000 && client->send(framed(payload)); ++i) {
+    }
+    transport.stop();
+    EXPECT_EQ(server.live_connections(), 0u) << "round " << round;
+  }
+}
+
+// The race the loop above hits only sometimes, forced: the acceptor is
+// still running when stop() marks the transport stopping.
+TEST(TcpTransport, StopDuringAcceptReleasesTheConnection) {
+  PA_NET_REQUIRE_TCP();
+  TcpTransport transport;
+  std::atomic<bool> in_acceptor{false};
+  std::atomic<bool> stop_called{false};
+  std::atomic<int> closes{0};
+  std::weak_ptr<Connection> accepted;
+  const std::string endpoint = transport.listen(
+      "127.0.0.1:0", [&](const ConnectionPtr& conn) {
+        accepted = conn;
+        in_acceptor.store(true);
+        eventually([&] { return stop_called.load(); });
+        // Let stop() mark the transport stopping before this returns.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        ConnectionHandlers h;
+        h.on_message = [conn](const std::string& payload) {
+          conn->send(framed("echo:" + payload));
+        };
+        h.on_close = [&closes] { closes.fetch_add(1); };
+        return h;
+      });
+  ConnectionHandlers h;
+  h.on_message = [](const std::string&) {};
+  ConnectionPtr client = transport.connect(endpoint, h);
+  ASSERT_TRUE(eventually([&] { return in_acceptor.load(); }));
+  stop_called.store(true);
+  transport.stop();
+  EXPECT_TRUE(accepted.expired());
+  EXPECT_EQ(closes.load(), 1);
 }
 
 TEST(TcpTransport, StopClosesConnections) {
