@@ -197,10 +197,10 @@ int main(int argc, char** argv) {
             << std::fixed << std::setprecision(1) << durability_pct
             << "%  (bound: <= 10%)\n"
             << (durability_pct <= 10.0 ? "  PASS" : "  FAIL")
-            << " — append() only moves the record into the flusher queue; "
-               "the background\n  flusher batches the encodes, writes, and "
-               "fsyncs, so making the log durable\n  costs almost nothing "
-               "over writing it at all. fsync-every-record is the\n  "
+            << " — an append only copies the encoded record onto the "
+               "pending buffer; the\n  background flusher batches the CRCs, "
+               "writes, and fsyncs, so making the log durable\n  costs almost "
+               "nothing over writing it at all. fsync-every-record is the\n  "
                "unamortized ceiling: one disk round-trip per record.\n"
                "  (overhead_pct column: total cost of journaling vs running "
                "with no journal\n  attached — each submit logs the unit's "

@@ -29,6 +29,7 @@ class Config {
   void set(const std::string& key, bool value);
 
   bool contains(const std::string& key) const;
+  bool empty() const { return values_.empty(); }
 
   /// Strict getters: throw pa::NotFound if absent, pa::InvalidArgument if
   /// unparsable.

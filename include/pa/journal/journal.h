@@ -4,8 +4,10 @@
 /// a compacted snapshot, plus the materialized image that ties them
 /// together.
 ///
-/// `Journal::append` only hands the record to the group-commit writer —
-/// the wal itself is the staging area. Materialization into the
+/// `Journal::append_payload` only hands an encoded record to the
+/// group-commit writer (`ServiceJournal`'s hooks encode straight into
+/// payload bytes; `append` encodes a `Record` first) — the wal itself is
+/// the staging area. Materialization into the
 /// `ManagerImage` (and its transition validation) is deferred: whenever
 /// the image is observed — `image()`, `compact()`, `close()` — the wal
 /// tail written since the last drain is read back and replayed, so the
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "pa/check/mutex.h"
 #include "pa/journal/replayer.h"
@@ -52,10 +55,14 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Appends `record` to the wal; returns its sequence number. Triggers
+  /// Appends one encoded payload (`PayloadBuilder` layout; the writer
+  /// stamps its seq) to the wal; returns its sequence number. Triggers
   /// compaction when configured. Image application (and its transition
   /// validation) happens at the next drain, by wal readback.
-  std::uint64_t append(Record record) PA_EXCLUDES(mutex_);
+  std::uint64_t append_payload(std::string_view payload) PA_EXCLUDES(mutex_);
+
+  /// Encodes `record` (its `seq` is ignored), then `append_payload`.
+  std::uint64_t append(const Record& record) PA_EXCLUDES(mutex_);
 
   /// Blocks until all appended records are durable.
   void flush() PA_EXCLUDES(mutex_);

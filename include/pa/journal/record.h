@@ -19,6 +19,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace pa::journal {
 
@@ -49,6 +50,33 @@ struct Record {
   std::map<std::string, std::string> fields;
 
   bool operator==(const Record& other) const = default;
+};
+
+/// Byte offset of the u64 `seq` inside a payload (right after the u16
+/// type): the writer stamps each record's seq there as it queues it.
+inline constexpr std::size_t kPayloadSeqOffset = 2;
+
+/// The one payload encoder: appends {type, seq, time, entity, field
+/// count, fields} to `out`, behind whatever `out` already holds. `field()`
+/// adds one key/value pair; `finish()` writes the field count into its
+/// slot. `encode_payload` and the service journal's hooks both encode
+/// through it, so a hook writes the bytes of the equivalent `Record` as
+/// long as it adds its keys in ascending byte order — the order
+/// `Record::fields` iterates in.
+class PayloadBuilder {
+ public:
+  PayloadBuilder(std::string& out, RecordType type, std::uint64_t seq,
+                 double time, std::string_view entity);
+
+  PayloadBuilder& field(std::string_view key, std::string_view value);
+
+  /// Writes the field count into its slot.
+  void finish();
+
+ private:
+  std::string& out_;
+  std::size_t count_at_ = 0;  ///< offset of the u32 field count in `out_`
+  std::uint32_t count_ = 0;
 };
 
 /// Serializes the record body (no frame header).

@@ -5,14 +5,17 @@
 ///
 /// Attach with `service.attach_journal(&adapter)` *before* submitting any
 /// pilots or units, so every lifecycle event of the workload is captured.
-/// The adapter translates each typed hook into the corresponding
-/// `Record`, with exactly the fields `ManagerImage::apply` consumes on
-/// replay.
+/// The adapter encodes each typed hook straight into the payload bytes of
+/// the corresponding record (one reused buffer; no `Record`, no field
+/// map), with exactly the fields `ManagerImage::apply` consumes on replay.
+/// Fields go out in ascending key order, so every frame is byte-identical
+/// to `append_frame` of the equivalent `Record`.
 
 #include <string>
 
 #include "pa/core/journal_hook.h"
 #include "pa/journal/journal.h"
+#include "pa/journal/record.h"
 
 namespace pa::journal {
 
@@ -40,7 +43,15 @@ class ServiceJournal final : public core::JournalSink {
   Journal& journal() { return journal_; }
 
  private:
+  /// Starts a payload for `entity` in `payload_` (cleared first).
+  PayloadBuilder begin(RecordType type, const std::string& entity,
+                       double time);
+  /// Finishes `payload` and appends it to the journal.
+  void commit(PayloadBuilder& payload);
+
   Journal& journal_;
+  /// Hooks fire on one thread (journal_hook.h), so one buffer serves all.
+  std::string payload_;
 };
 
 }  // namespace pa::journal

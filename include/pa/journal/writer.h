@@ -2,19 +2,23 @@
 /// \file writer.h
 /// \brief Append-only journal writer with group commit.
 ///
-/// `append()` assigns the sequence number and enqueues the record — the
-/// hot path never encodes or touches the filesystem. A background flusher
-/// thread drains the queue, encodes the pending records, writes them with
-/// one `write(2)` and (in group-commit mode) one `fsync(2)`, amortizing
-/// both the serialization and the sync cost over the batch exactly as
-/// database WALs do. Durability guarantee: the
+/// Callers hand the writer finished payload bytes (`append_payload`; the
+/// service journal's hooks encode straight into a reused buffer), and
+/// `append()` is "encode the `Record`, then the payload path". Under the
+/// lock an append only stamps the seq into the payload and copies the
+/// frame onto one pending byte buffer. A background flusher thread swaps
+/// that buffer for a spare one, fills in the frames' CRCs with the lock
+/// dropped, and writes them with one `write(2)` and (in group-commit mode)
+/// one `fsync(2)`, amortizing the checksum and the sync cost over the
+/// batch exactly as database WALs do. Durability guarantee: the
 /// on-disk file is always a byte prefix of the appended stream, possibly
 /// ending in a torn frame if the process died mid-write — which the reader
 /// detects and the recovery coordinator truncates.
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "pa/check/mutex.h"
@@ -31,8 +35,6 @@ struct WriterConfig {
     kEveryRecord,  ///< append() blocks until its record is fsynced
   };
   Sync sync = Sync::kGroup;
-  /// Max records the flusher coalesces into one write/fsync.
-  std::size_t max_batch_records = 512;
   /// Truncate an existing file on open (false = append to it).
   bool truncate_existing = false;
 };
@@ -51,9 +53,15 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  /// Stamps `record.seq`, enqueues the record and returns the seq.
-  /// In kEveryRecord mode, blocks until the record is durable.
-  std::uint64_t append(Record record) PA_EXCLUDES(mutex_);
+  /// Encodes `record` (its `seq` is ignored) and appends it as
+  /// `append_payload` does.
+  std::uint64_t append(const Record& record) PA_EXCLUDES(mutex_);
+
+  /// Queues one encoded payload (`PayloadBuilder` layout) as a frame,
+  /// stamping the next seq at `kPayloadSeqOffset`, and returns that seq.
+  /// The bytes are copied; the caller may reuse its buffer at once. In
+  /// kEveryRecord mode, blocks until the record is durable.
+  std::uint64_t append_payload(std::string_view payload) PA_EXCLUDES(mutex_);
 
   /// Blocks until every previously appended record is written (and, in
   /// syncing modes, fsynced).
@@ -90,15 +98,11 @@ class Writer {
   };
 
   void flusher_loop() PA_EXCLUDES(mutex_);
-  /// Pops and encodes up to max_batch_records pending frames into one
-  /// contiguous byte batch. Outputs the highest seq popped and the record
-  /// count.
-  std::string encode_batch(std::uint64_t& last_seq,
-                           std::size_t& batch_records) PA_REQUIRES(mutex_);
-  /// Writes (and, per config, fsyncs) one encoded batch. Runs with the
-  /// lock dropped — `fd` is passed by value and the handles are stable.
-  void write_batch(int fd, const std::string& batch,
-                   std::size_t batch_records, MetricsHandles handles);
+  /// Fills in the CRC of every frame in `batch`, then writes (and, per
+  /// config, fsyncs) it. Runs with the lock dropped — `fd` is passed by
+  /// value and the handles are stable.
+  void write_batch(int fd, std::string& batch, std::size_t batch_records,
+                   MetricsHandles handles);
 
   const std::string path_;
   const WriterConfig config_;
@@ -108,7 +112,9 @@ class Writer {
   check::CondVar work_cv_;     ///< flusher wakeups
   check::CondVar durable_cv_;  ///< flush()/append() waiters
   int fd_ PA_GUARDED_BY(mutex_) = -1;
-  std::deque<Record> pending_ PA_GUARDED_BY(mutex_);  ///< seq-stamped
+  /// Queued frames (seq stamped, CRC still zero) and how many there are.
+  std::string pending_ PA_GUARDED_BY(mutex_);
+  std::size_t pending_records_ PA_GUARDED_BY(mutex_) = 0;
   std::uint64_t next_seq_ PA_GUARDED_BY(mutex_) = 1;
   /// Highest seq written (+synced); starts at first_seq - 1.
   std::uint64_t durable_seq_ PA_GUARDED_BY(mutex_) = 0;

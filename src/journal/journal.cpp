@@ -56,13 +56,17 @@ void Journal::set_metrics(obs::MetricsRegistry* metrics) {
   writer_->set_metrics(metrics);
 }
 
-std::uint64_t Journal::append(Record record) {
+std::uint64_t Journal::append(const Record& record) {
+  return append_payload(encode_payload(record));
+}
+
+std::uint64_t Journal::append_payload(std::string_view payload) {
   check::MutexLock lock(mutex_);
-  // Hot path: move the record to the group-commit writer, nothing else.
+  // Hot path: copy the bytes to the group-commit writer, nothing else.
   // Materialization into the image (field parsing, map updates,
   // transition validation) is deferred: the wal itself is the staging
   // area, and the next image drain replays its unapplied tail.
-  const std::uint64_t seq = writer_->append(std::move(record));
+  const std::uint64_t seq = writer_->append_payload(payload);
   ++records_appended_;
   if (config_.snapshot_every_records > 0 &&
       ++records_since_snapshot_ >= config_.snapshot_every_records) {

@@ -10,24 +10,13 @@ namespace pa::journal {
 
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
+template <typename T>
+void put(std::string& out, T v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_f64(std::string& out, double v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
+void put_string(std::string& out, std::string_view s) {
+  put(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
 }
 
@@ -87,17 +76,46 @@ const char* to_string(RecordType t) {
   return "unknown";
 }
 
+PayloadBuilder::PayloadBuilder(std::string& out, RecordType type,
+                               std::uint64_t seq, double time,
+                               std::string_view entity)
+    : out_(out) {
+  put(out_, static_cast<std::uint16_t>(type));
+  put(out_, seq);
+  put(out_, time);
+  put_string(out_, entity);
+  count_at_ = out_.size();
+  put(out_, std::uint32_t{0});
+}
+
+PayloadBuilder& PayloadBuilder::field(std::string_view key,
+                                      std::string_view value) {
+  put_string(out_, key);
+  put_string(out_, value);
+  ++count_;
+  return *this;
+}
+
+void PayloadBuilder::finish() {
+  std::memcpy(out_.data() + count_at_, &count_, sizeof(count_));
+}
+
+namespace {
+
+void encode_into(std::string& out, const Record& record) {
+  PayloadBuilder payload(out, record.type, record.seq, record.time,
+                         record.entity);
+  for (const auto& [key, value] : record.fields) {
+    payload.field(key, value);
+  }
+  payload.finish();
+}
+
+}  // namespace
+
 std::string encode_payload(const Record& record) {
   std::string out;
-  put_u16(out, static_cast<std::uint16_t>(record.type));
-  put_u64(out, record.seq);
-  put_f64(out, record.time);
-  put_string(out, record.entity);
-  put_u32(out, static_cast<std::uint32_t>(record.fields.size()));
-  for (const auto& [key, value] : record.fields) {
-    put_string(out, key);
-    put_string(out, value);
-  }
+  encode_into(out, record);
   return out;
 }
 
@@ -126,14 +144,17 @@ Record decode_payload(const char* data, std::size_t size) {
 }
 
 void append_frame(std::string& out, const Record& record) {
-  const std::string payload = encode_payload(record);
-  PA_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
-               "journal record payload too large: " << payload.size());
-  std::uint32_t length = static_cast<std::uint32_t>(payload.size());
-  std::uint32_t crc = crc32(payload.data(), payload.size());
-  out.append(reinterpret_cast<const char*>(&length), sizeof(length));
-  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out.append(payload);
+  const std::size_t header = out.size();
+  out.append(kFrameHeaderBytes, '\0');
+  encode_into(out, record);
+  const std::size_t size = out.size() - header - kFrameHeaderBytes;
+  PA_CHECK_MSG(size <= kMaxPayloadBytes,
+               "journal record payload too large: " << size);
+  const auto length = static_cast<std::uint32_t>(size);
+  char* frame = out.data() + header;
+  const std::uint32_t crc = crc32(frame + kFrameHeaderBytes, size);
+  std::memcpy(frame, &length, sizeof(length));
+  std::memcpy(frame + sizeof(length), &crc, sizeof(crc));
 }
 
 void write_jsonl(std::ostream& out, const Record& record) {

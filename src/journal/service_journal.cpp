@@ -1,96 +1,125 @@
 #include "pa/journal/service_journal.h"
 
+#include <vector>
+
 #include "pa/journal/replayer.h"
 
 namespace pa::journal {
 
 namespace {
 
-Record make_record(RecordType type, std::string entity, double time) {
-  Record r;
-  r.type = type;
-  r.entity = std::move(entity);
-  r.time = time;
-  return r;
+/// Adds `<prefix><i>` = `values[i]` fields in the byte order of their
+/// keys ("input.0", "input.1", "input.10", ..., "input.2", ...).
+void indexed_fields(PayloadBuilder& payload, const char* prefix,
+                    const std::vector<std::string>& values) {
+  const std::size_t n = values.size();
+  if (n == 0) {
+    return;
+  }
+  const auto add = [&](std::size_t i) {
+    payload.field(prefix + std::to_string(i), values[i]);
+  };
+  // "0" sorts first and has no longer siblings; 1..n-1 follow in a
+  // preorder walk of the decimal digit tree: 1, 10, 100, ..., 11, ..., 2.
+  add(0);
+  std::size_t i = 1;
+  for (std::size_t emitted = 1; emitted < n; ++emitted) {
+    add(i);
+    if (i * 10 < n) {
+      i *= 10;
+      continue;
+    }
+    if (i + 1 >= n) {
+      i /= 10;
+    }
+    ++i;
+    while (i % 10 == 0) {
+      i /= 10;
+    }
+  }
 }
 
 }  // namespace
 
+PayloadBuilder ServiceJournal::begin(RecordType type,
+                                     const std::string& entity, double time) {
+  payload_.clear();
+  return PayloadBuilder(payload_, type, /*seq=*/0, time, entity);
+}
+
+void ServiceJournal::commit(PayloadBuilder& payload) {
+  payload.finish();
+  journal_.append_payload(payload_);
+}
+
 void ServiceJournal::pilot_submitted(const std::string& pilot_id,
                                      const core::PilotDescription& description,
                                      int restarts_used, double time) {
-  Record r = make_record(RecordType::kPilotSubmit, pilot_id, time);
-  r.fields["resource_url"] = description.resource_url;
-  r.fields["nodes"] = std::to_string(description.nodes);
-  r.fields["walltime"] = format_double(description.walltime);
-  r.fields["priority"] = std::to_string(description.priority);
-  r.fields["cost_per_core_hour"] =
-      format_double(description.cost_per_core_hour);
-  r.fields["restarts_used"] = std::to_string(restarts_used);
-  const std::string attrs = description.attributes.to_string();
-  if (!attrs.empty()) {
-    r.fields["attributes"] = attrs;
+  PayloadBuilder p = begin(RecordType::kPilotSubmit, pilot_id, time);
+  if (!description.attributes.empty()) {
+    p.field("attributes", description.attributes.to_string());
   }
-  journal_.append(std::move(r));
+  p.field("cost_per_core_hour", format_double(description.cost_per_core_hour))
+      .field("nodes", std::to_string(description.nodes))
+      .field("priority", std::to_string(description.priority))
+      .field("resource_url", description.resource_url)
+      .field("restarts_used", std::to_string(restarts_used))
+      .field("walltime", format_double(description.walltime));
+  commit(p);
 }
 
 void ServiceJournal::pilot_state(const std::string& pilot_id,
                                  core::PilotState to, int total_cores,
                                  const std::string& site, double time) {
-  Record r = make_record(RecordType::kPilotState, pilot_id, time);
-  r.fields["state"] = core::to_string(to);
+  PayloadBuilder p = begin(RecordType::kPilotState, pilot_id, time);
   if (to == core::PilotState::kActive) {
-    r.fields["cores"] = std::to_string(total_cores);
-    r.fields["site"] = site;
+    p.field("cores", std::to_string(total_cores)).field("site", site);
   }
-  journal_.append(std::move(r));
+  p.field("state", core::to_string(to));
+  commit(p);
 }
 
 void ServiceJournal::unit_submitted(
     const std::string& unit_id,
     const core::ComputeUnitDescription& description, double time) {
-  Record r = make_record(RecordType::kUnitSubmit, unit_id, time);
+  PayloadBuilder p = begin(RecordType::kUnitSubmit, unit_id, time);
+  if (!description.attributes.empty()) {
+    p.field("attributes", description.attributes.to_string());
+  }
+  p.field("cores", std::to_string(description.cores))
+      .field("duration", format_double(description.duration));
+  indexed_fields(p, "input.", description.input_data);
   if (!description.name.empty()) {
-    r.fields["name"] = description.name;
+    p.field("name", description.name);
   }
-  r.fields["cores"] = std::to_string(description.cores);
-  r.fields["duration"] = format_double(description.duration);
-  const std::string attrs = description.attributes.to_string();
-  if (!attrs.empty()) {
-    r.fields["attributes"] = attrs;
-  }
-  for (std::size_t i = 0; i < description.input_data.size(); ++i) {
-    r.fields["input." + std::to_string(i)] = description.input_data[i];
-  }
-  for (std::size_t i = 0; i < description.output_data.size(); ++i) {
-    r.fields["output." + std::to_string(i)] = description.output_data[i];
-  }
-  journal_.append(std::move(r));
+  indexed_fields(p, "output.", description.output_data);
+  commit(p);
 }
 
 void ServiceJournal::unit_bound(const std::string& unit_id,
                                 const std::string& pilot_id, double time) {
-  Record r = make_record(RecordType::kUnitBind, unit_id, time);
-  r.fields["pilot"] = pilot_id;
-  journal_.append(std::move(r));
+  PayloadBuilder p = begin(RecordType::kUnitBind, unit_id, time);
+  p.field("pilot", pilot_id);
+  commit(p);
 }
 
 void ServiceJournal::unit_state(const std::string& unit_id,
                                 core::UnitState to, double time) {
-  Record r = make_record(RecordType::kUnitState, unit_id, time);
-  r.fields["state"] = core::to_string(to);
-  journal_.append(std::move(r));
+  PayloadBuilder p = begin(RecordType::kUnitState, unit_id, time);
+  p.field("state", core::to_string(to));
+  commit(p);
 }
 
 void ServiceJournal::unit_requeued(const std::string& unit_id, double time) {
-  journal_.append(make_record(RecordType::kUnitRequeue, unit_id, time));
+  PayloadBuilder p = begin(RecordType::kUnitRequeue, unit_id, time);
+  commit(p);
 }
 
 void ServiceJournal::data_placed(const std::string& data_unit,
                                  const std::string& site, double time) {
-  Record r = make_record(RecordType::kDataPlacement, data_unit, time);
-  r.fields["site"] = site;
-  journal_.append(std::move(r));
+  PayloadBuilder p = begin(RecordType::kDataPlacement, data_unit, time);
+  p.field("site", site);
+  commit(p);
 }
 
 }  // namespace pa::journal

@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <utility>
-#include <vector>
 
 #include "pa/common/error.h"
+#include "pa/journal/crc32.h"
 
 namespace pa::journal {
 
@@ -64,7 +66,17 @@ void Writer::set_metrics(obs::MetricsRegistry* metrics) {
   metrics_ = handles;
 }
 
-std::uint64_t Writer::append(Record record) {
+std::uint64_t Writer::append(const Record& record) {
+  return append_payload(encode_payload(record));
+}
+
+std::uint64_t Writer::append_payload(std::string_view payload) {
+  PA_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
+               "journal record payload too large: " << payload.size());
+  PA_CHECK_MSG(payload.size() >= kPayloadSeqOffset + sizeof(std::uint64_t),
+               "journal payload too short for a seq: " << payload.size());
+  const auto length = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc_slot = 0;  // the flusher fills it in
   obs::Counter* records_counter = nullptr;
   std::uint64_t seq = 0;
   {
@@ -72,12 +84,19 @@ std::uint64_t Writer::append(Record record) {
     if (closing_) {
       throw InvalidStateError("append on closed journal writer " + path_);
     }
-    record.seq = next_seq_++;
-    seq = record.seq;
-    // Hot path: stamp + enqueue only. The flusher encodes the frame, so the
-    // submitting thread never pays serialization or file I/O.
-    const bool flusher_idle = pending_.empty() && !draining_;
-    pending_.push_back(std::move(record));
+    seq = next_seq_++;
+    // Hot path: stamp + copy only. The flusher checksums the frame, so the
+    // submitting thread never pays the CRC or file I/O.
+    const bool flusher_idle = pending_records_ == 0 && !draining_;
+    const std::size_t frame = pending_.size();
+    pending_.append(reinterpret_cast<const char*>(&length), sizeof(length));
+    pending_.append(reinterpret_cast<const char*>(&crc_slot),
+                    sizeof(crc_slot));
+    pending_.append(payload);
+    std::memcpy(pending_.data() + frame + kFrameHeaderBytes +
+                    kPayloadSeqOffset,
+                &seq, sizeof(seq));
+    ++pending_records_;
     records_counter = metrics_.records;
     // The flusher only sleeps when the queue is empty; while it drains (or
     // has a non-empty queue to re-check) a wakeup is redundant, and eliding
@@ -133,7 +152,7 @@ void Writer::truncate_log() {
   check::MutexLock lock(mutex_);
   work_cv_.notify_one();
   // Wait until the flusher is idle so we never truncate under its write.
-  while (!pending_.empty() || draining_) {
+  while (pending_records_ != 0 || draining_) {
     durable_cv_.wait(lock);
   }
   if (fd_ < 0) {
@@ -150,22 +169,16 @@ std::uint64_t Writer::next_seq() const {
   return next_seq_;
 }
 
-std::string Writer::encode_batch(std::uint64_t& last_seq,
-                                 std::size_t& batch_records) {
-  std::string batch;
-  last_seq = 0;
-  batch_records = 0;
-  while (!pending_.empty() && batch_records < config_.max_batch_records) {
-    append_frame(batch, pending_.front());
-    last_seq = pending_.front().seq;
-    pending_.pop_front();
-    ++batch_records;
-  }
-  return batch;
-}
-
-void Writer::write_batch(int fd, const std::string& batch,
+void Writer::write_batch(int fd, std::string& batch,
                          std::size_t batch_records, MetricsHandles handles) {
+  for (std::size_t frame = 0; frame < batch.size();) {
+    std::uint32_t length = 0;
+    std::memcpy(&length, batch.data() + frame, sizeof(length));
+    char* payload = batch.data() + frame + kFrameHeaderBytes;
+    const std::uint32_t crc = crc32(payload, length);
+    std::memcpy(batch.data() + frame + sizeof(length), &crc, sizeof(crc));
+    frame += kFrameHeaderBytes + length;
+  }
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t written = 0;
   while (written < batch.size()) {
@@ -192,19 +205,23 @@ void Writer::write_batch(int fd, const std::string& batch,
 }
 
 void Writer::flusher_loop() {
+  // The batch being written; swapped with `pending_` each round, so both
+  // buffers keep their capacity and a flush allocates nothing.
+  std::string batch;
   check::MutexLock lock(mutex_);
   while (true) {
-    while (!closing_ && pending_.empty()) {
+    while (!closing_ && pending_records_ == 0) {
       work_cv_.wait(lock);
     }
-    if (pending_.empty()) {
+    if (pending_records_ == 0) {
       // closing_ and drained: final state. durable_seq_ already covers
       // every appended record, so flush()/close() waiters are satisfied.
       return;
     }
-    std::uint64_t last_seq = 0;
-    std::size_t batch_records = 0;
-    const std::string batch = encode_batch(last_seq, batch_records);
+    batch.clear();
+    batch.swap(pending_);
+    const std::size_t batch_records = std::exchange(pending_records_, 0);
+    const std::uint64_t last_seq = next_seq_ - 1;
     const int fd = fd_;
     const MetricsHandles handles = metrics_;
     draining_ = true;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include "pa/common/rng.h"
 #include "pa/core/pilot_compute_service.h"
@@ -20,6 +21,12 @@ struct Sweep {
   std::uint64_t seed;
   std::string policy;
 };
+
+/// Without this gtest prints a Sweep as its raw bytes, heap pointer
+/// included, and every build registers the cases under new ctest names.
+void PrintTo(const Sweep& sweep, std::ostream* os) {
+  *os << "seed=" << sweep.seed << " policy=" << sweep.policy;
+}
 
 class FullStackProperty : public ::testing::TestWithParam<Sweep> {};
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -109,6 +110,44 @@ TEST(JournalRecord, Crc32MatchesKnownVectors) {
   EXPECT_EQ(crc32("", 0), 0x00000000u);
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(crc32(fox.data(), fox.size()), 0x414FA339u);
+}
+
+TEST(JournalRecord, Crc32SlicingMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Slicing-by-8 folds eight bytes per step; it must agree with the
+  // byte-at-a-time table walk for every length (full steps, tails, both)
+  // at every start offset within an 8-byte word.
+  std::string buf(8 + 300, '\0');
+  std::uint32_t x = 0x9E3779B9U;
+  for (char& c : buf) {
+    x = x * 1664525U + 1013904223U;
+    c = static_cast<char>(x >> 24);
+  }
+  const auto* bytes = reinterpret_cast<const unsigned char*>(buf.data());
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint32_t reference =
+          detail::crc32_bytewise(0xFFFFFFFFU, bytes + align, len) ^
+          0xFFFFFFFFU;
+      ASSERT_EQ(crc32(bytes + align, len), reference)
+          << "align=" << align << " len=" << len;
+    }
+  }
+}
+
+TEST(JournalRecord, PayloadBuilderWritesEncodePayloadBytes) {
+  const Record r = sample_record();
+  std::string out = "prefix";  // the builder appends behind what is there
+  PayloadBuilder payload(out, r.type, r.seq, r.time, r.entity);
+  for (const auto& [key, value] : r.fields) {
+    payload.field(key, value);
+  }
+  payload.finish();
+  EXPECT_EQ(out, "prefix" + encode_payload(r));
+  std::uint64_t seq = 0;
+  std::memcpy(&seq, out.data() + 6 + kPayloadSeqOffset, sizeof(seq));
+  EXPECT_EQ(seq, r.seq);
 }
 
 TEST(JournalRecord, JsonlEscapesAndLabels) {

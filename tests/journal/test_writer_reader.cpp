@@ -82,26 +82,63 @@ TEST_F(WriterReaderTest, FlushMakesRecordsVisible) {
 }
 
 TEST_F(WriterReaderTest, ConcurrentAppendersKeepSeqDense) {
-  const std::string path = dir_.file("wal");
-  {
-    Writer writer(path);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&writer, t]() {
-        for (std::uint64_t i = 0; i < 250; ++i) {
-          writer.append(make_record(static_cast<std::uint64_t>(t) * 1000 + i));
-        }
-      });
+  // Half the threads append `Record`s, half append payloads they encoded
+  // themselves; the flusher checksums swapped-out batches with the lock
+  // dropped. Frames in file order must carry dense, strictly increasing
+  // seqs and valid CRCs (the reader rejects a bad CRC or a seq that does
+  // not increase as a torn tail).
+  for (const auto sync :
+       {WriterConfig::Sync::kGroup, WriterConfig::Sync::kEveryRecord}) {
+    const std::string path =
+        dir_.file("wal_" + std::to_string(static_cast<int>(sync)));
+    WriterConfig config;
+    config.sync = sync;
+    {
+      Writer writer(path, config);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&writer, t]() {
+          std::string payload;
+          for (std::uint64_t i = 0; i < 250; ++i) {
+            const Record r =
+                make_record(static_cast<std::uint64_t>(t) * 1000 + i);
+            if (t % 2 == 0) {
+              writer.append(r);
+              continue;
+            }
+            payload.clear();
+            PayloadBuilder builder(payload, r.type, /*seq=*/0, r.time,
+                                   r.entity);
+            for (const auto& [key, value] : r.fields) {
+              builder.field(key, value);
+            }
+            builder.finish();
+            writer.append_payload(payload);
+          }
+        });
+      }
+      for (auto& th : threads) {
+        th.join();
+      }
     }
-    for (auto& th : threads) {
-      th.join();
+    const ReadResult result = read_journal(path);
+    EXPECT_FALSE(result.torn);
+    ASSERT_EQ(result.records.size(), 1000u);
+    std::vector<int> per_thread(4, 0);
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const Record& r = result.records[i];
+      EXPECT_EQ(r.seq, i + 1);  // dense, strictly increasing
+      // Each thread's records land in its own append order, intact.
+      const std::uint64_t id = std::stoull(r.entity.substr(5));
+      const auto t = static_cast<std::size_t>(id / 1000);
+      ASSERT_LT(t, per_thread.size());
+      EXPECT_EQ(r, [&] {
+        Record expected = make_record(t * 1000 + per_thread[t]);
+        expected.seq = r.seq;
+        return expected;
+      }());
+      ++per_thread[t];
     }
-  }
-  const ReadResult result = read_journal(path);
-  EXPECT_FALSE(result.torn);
-  ASSERT_EQ(result.records.size(), 1000u);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(result.records[i].seq, i + 1);  // dense, strictly increasing
   }
 }
 
