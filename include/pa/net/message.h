@@ -6,44 +6,43 @@
 /// The P* model (paper Sec. IV-A, ref [6]) defines the manager and agents
 /// as distinct components joined by an explicit coordination channel; this
 /// header is that channel's vocabulary. Every message payload starts with
-/// a versioned header
+/// the header
 ///
 ///     u8 version | u8 type | u16 reserved | u64 seq | str pilot_id
 ///
 /// followed by a type-specific body using the same compact primitives as
 /// the journal codec (fixed-width little-endian integers, u32
-/// length-prefixed strings). `seq` is assigned per connection by the
-/// sender, strictly increasing, so receivers can spot reordering or loss
-/// across a reconnect.
+/// length-prefixed strings and lists). `seq` is assigned per connection
+/// by the sender, strictly increasing, so receivers can spot reordering
+/// or loss across a reconnect.
+///
+/// There is one protocol version, kProtocolVersion: manager and agents
+/// are built from one tree. A frame whose header names any other version
+/// is rejected with a pa::Error naming both, so a mismatched peer fails
+/// loudly on its first kHello instead of misreading bodies.
 ///
 /// Message flow:
 ///
-///     manager ──kStartPilot──▶ agent      (after the agent's kHello)
+///     manager ◀──kHello─────── agent      (pilot id + peer dial address)
+///     manager ──kStartPilot──▶ agent      (description + token-MAC key)
 ///     manager ◀─kPilotActive── agent      (allocation up: cores, site and
 ///                                          the agent's unit-queue capacity)
-///     manager ──kExecuteUnit─▶ agent
-///     manager ◀──kUnitDone──── agent
+///     manager ──kUnitBatch───▶ agent      (units; the agent late-binds
+///                                          them to cores)
+///     manager ◀kUnitDoneBatch─ agent      (completions)
 ///     manager ──kHeartbeat───▶ agent
 ///     manager ◀─kHeartbeatAck─ agent      (echoes the probe timestamp)
 ///     manager ──kShutdown────▶ agent      (cancel / drain)
 ///     manager ◀kPilotTerminated agent     (walltime end, agent failure)
 ///
-/// Version 2 adds the bulk path (P* coordination cost amortized across
-/// units, after RADICAL-Pilot's bulk dispatch):
+/// One unit is a batch of one: senders queue one-unit batches and merge
+/// each queued run into one frame, amortizing the P* coordination cost
+/// across units (after RADICAL-Pilot's bulk dispatch).
 ///
-///     manager ──kUnitBatch───▶ agent      (vector of units, agent
-///                                          late-binds them to cores)
-///     manager ◀kUnitDoneBatch─ agent      (vector of completions)
-///
-/// Negotiation: the agent's kHello carries the agent's newest version in
-/// the header; both sides then speak min(own, peer). Batch types are only
-/// legal at version >= 2 — encoding or decoding them at version 1 is a
-/// clean pa::Error, never a decoder latch, so a v2 frame reaching a v1
-/// peer produces a protocol-version rejection rather than stream corruption.
-///
-/// Version 3 adds the data plane (pa::store, Pilot-Data as a first-class
-/// citizen): content-addressed objects travel as chunked frames so a large
-/// stage-in never head-of-line-blocks heartbeats on the same connection.
+/// The data plane (pa::store, Pilot-Data as a first-class citizen) moves
+/// content-addressed objects as chunked frames, so a large stage-in never
+/// head-of-line-blocks heartbeats on the same connection. The star path
+/// relays chunks through the manager:
 ///
 ///     manager ──kObjPut────▶ agent    (one chunk; agent assembles, CRC-
 ///                                      verifies, stores in its shard)
@@ -52,13 +51,10 @@
 ///     manager ◀──kObjChunk── agent    (one chunk back; chunk_count = 0
 ///                                      means the shard no longer holds it)
 ///
-/// Object types are only legal at version >= 3, gated exactly like the
-/// batch types.
-///
-/// Version 4 breaks the P* star for bulk data: the manager stays the
-/// placement/directory authority but stops relaying chunks. Instead it
-/// mints signed, expiring transfer tokens and agents move the bytes over
-/// a peer channel (each agent publishes a dial address in its kHello):
+/// The peer path keeps the manager as the placement/directory authority
+/// but stops it relaying chunks. Instead it mints signed, expiring
+/// transfer tokens and agents move the bytes over a peer channel (each
+/// agent publishes a dial address in its kHello):
 ///
 ///     manager ──kXferToken──▶ dest      (signed grant: object, source,
 ///                                        chunk range, deadline, nonce)
@@ -71,9 +67,9 @@
 ///
 /// A kXferToken with success = false is a revocation notice sent to the
 /// *source*: the nonce is dead (expiry, dest death) and any replay of it
-/// must be rejected. Peer types are only legal at version >= 4; a v3
-/// fleet never sees them and its kHello stays byte-for-byte unchanged
-/// (the dial address is appended only when the header says v4+).
+/// must be rejected. The star path is the last rung of the fallback
+/// ladder: a pilot whose agent published no peer endpoint (its listener
+/// failed to bind) is only ever served by the star.
 
 #include <cstdint>
 #include <string>
@@ -83,47 +79,79 @@
 
 namespace pa::net {
 
-/// Newest protocol version this build speaks. Bump on any change to the
-/// header or on a new message type; receivers reject versions outside
-/// [kMinProtocolVersion, kProtocolVersion].
+/// The protocol version: the first header byte of every frame. Bump on
+/// any change to the header or to a body layout.
 inline constexpr std::uint8_t kProtocolVersion = 4;
 
-/// Oldest version still decodable. Batch types arrived in 2, object
-/// (store) types in 3, peer-transfer types in 4. Manager and agents are
-/// always built from one tree, so a body layout is shared by every
-/// version: kPilotActive carries the queue capacity at v1 as at v4.
-inline constexpr std::uint8_t kMinProtocolVersion = 1;
+// --- the wire schema ---------------------------------------------------------
+//
+// One row per message type: X(enumerator, wire value, name, fields), where
+// `fields` is a field-list macro F(member)... naming the Message members the
+// type carries, in wire order after the header. MessageType, to_string,
+// encode_message_into, decode_message and the codec tests all expand from
+// this one table, so encode and decode agree by construction; each member's
+// C++ type selects its wire primitive (src/net/message.cpp). Wire values are
+// append-only. 5 and 6 (the retired single-unit dispatch and completion)
+// stay unassigned and decode as unknown types.
 
-/// Values are stable wire identifiers — append only.
+#define PA_NET_NO_FIELDS(F)
+#define PA_NET_HELLO_FIELDS(F) F(peer_endpoint)
+#define PA_NET_START_PILOT_FIELDS(F)                                        \
+  F(resource_url) F(nodes) F(walltime) F(priority) F(cost_per_core_hour)    \
+  F(pilot_attributes) F(token_key)
+#define PA_NET_PILOT_ACTIVE_FIELDS(F) F(total_cores) F(capacity) F(site)
+#define PA_NET_PILOT_TERMINATED_FIELDS(F) F(pilot_state)
+#define PA_NET_HEARTBEAT_FIELDS(F) F(timestamp)
+#define PA_NET_UNIT_BATCH_FIELDS(F) F(units)
+#define PA_NET_UNIT_DONE_BATCH_FIELDS(F) F(completions)
+#define PA_NET_CHUNK_FIELDS(F)                                              \
+  F(object_id) F(transfer_id) F(chunk_index) F(chunk_count) F(object_bytes) \
+  F(chunk_crc) F(chunk_data)
+#define PA_NET_OBJ_GET_FIELDS(F) F(object_id) F(transfer_id)
+#define PA_NET_OBJ_LOCATE_FIELDS(F) \
+  F(object_id) F(object_bytes) F(success) F(sites)
+#define PA_NET_PEER_OFFER_FIELDS(F)                                         \
+  F(object_id) F(transfer_id) F(object_bytes) F(source_pilot) F(dest_pilot) \
+  F(chunk_begin) F(chunk_end) F(deadline) F(nonce) F(mac)
+#define PA_NET_XFER_TOKEN_FIELDS(F) \
+  PA_NET_PEER_OFFER_FIELDS(F) F(peer_endpoint) F(success)
+#define PA_NET_PEER_DONE_FIELDS(F) \
+  F(object_id) F(transfer_id) F(nonce) F(object_bytes) F(success)
+
+#define PA_NET_MESSAGE_TYPES(X)                                              \
+  X(kHello, 1, "hello", PA_NET_HELLO_FIELDS)                                 \
+  X(kStartPilot, 2, "start_pilot", PA_NET_START_PILOT_FIELDS)                \
+  X(kPilotActive, 3, "pilot_active", PA_NET_PILOT_ACTIVE_FIELDS)             \
+  X(kPilotTerminated, 4, "pilot_terminated", PA_NET_PILOT_TERMINATED_FIELDS) \
+  X(kHeartbeat, 7, "heartbeat", PA_NET_HEARTBEAT_FIELDS)                     \
+  X(kHeartbeatAck, 8, "heartbeat_ack", PA_NET_HEARTBEAT_FIELDS)              \
+  X(kShutdown, 9, "shutdown", PA_NET_NO_FIELDS)                              \
+  X(kUnitBatch, 10, "unit_batch", PA_NET_UNIT_BATCH_FIELDS)                  \
+  X(kUnitDoneBatch, 11, "unit_done_batch", PA_NET_UNIT_DONE_BATCH_FIELDS)    \
+  X(kObjPut, 12, "obj_put", PA_NET_CHUNK_FIELDS)                             \
+  X(kObjGet, 13, "obj_get", PA_NET_OBJ_GET_FIELDS)                           \
+  X(kObjChunk, 14, "obj_chunk", PA_NET_CHUNK_FIELDS)                         \
+  X(kObjLocate, 15, "obj_locate", PA_NET_OBJ_LOCATE_FIELDS)                  \
+  X(kXferToken, 16, "xfer_token", PA_NET_XFER_TOKEN_FIELDS)                  \
+  X(kPeerOffer, 17, "peer_offer", PA_NET_PEER_OFFER_FIELDS)                  \
+  X(kPeerChunk, 18, "peer_chunk", PA_NET_CHUNK_FIELDS)                       \
+  X(kPeerDone, 19, "peer_done", PA_NET_PEER_DONE_FIELDS)
+
+/// Wire bodies of the two batch entry types, in wire order.
+#define PA_NET_WIRE_UNIT_FIELDS(F)                                    \
+  F(unit_id) F(name) F(cores) F(duration) F(input_data) F(output_data) \
+  F(attributes) F(has_work)
+#define PA_NET_WIRE_UNIT_DONE_FIELDS(F) F(unit_id) F(success) F(timestamp)
+
+/// Values are the stable wire identifiers of PA_NET_MESSAGE_TYPES.
 enum class MessageType : std::uint8_t {
-  kHello = 1,            ///< agent -> manager: announces pilot_id on connect
-  kStartPilot = 2,       ///< manager -> agent: pilot description
-  kPilotActive = 3,      ///< agent -> manager: allocation up (cores, capacity, site)
-  kPilotTerminated = 4,  ///< agent -> manager: final pilot state
-  kExecuteUnit = 5,      ///< manager -> agent: run a unit
-  kUnitDone = 6,         ///< agent -> manager: unit completion
-  kHeartbeat = 7,        ///< manager -> agent: liveness probe (timestamp)
-  kHeartbeatAck = 8,     ///< agent -> manager: echo of the probe
-  kShutdown = 9,         ///< manager -> agent: cancel pilot, close down
-  kUnitBatch = 10,       ///< manager -> agent: bulk unit dispatch (v2+)
-  kUnitDoneBatch = 11,   ///< agent -> manager: bulk completions (v2+)
-  kObjPut = 12,          ///< manager -> agent: one object chunk to store (v3+)
-  kObjGet = 13,          ///< manager -> agent: request an object (v3+)
-  kObjChunk = 14,        ///< agent -> manager: one object chunk back (v3+)
-  kObjLocate = 15,       ///< agent -> manager: replica announce/NACK (v3+)
-  kXferToken = 16,       ///< manager -> agent: transfer grant / revoke (v4+)
-  kPeerOffer = 17,       ///< dest -> source: present a token peer-to-peer (v4+)
-  kPeerChunk = 18,       ///< source -> dest: token-validated chunk (v4+)
-  kPeerDone = 19,        ///< dest -> manager: peer transfer outcome (v4+)
+#define PA_NET_ENUMERATOR(name, value, str, fields) name = value,
+  PA_NET_MESSAGE_TYPES(PA_NET_ENUMERATOR)
+#undef PA_NET_ENUMERATOR
 };
 
+/// The schema name of a type ("unit_batch"); "unknown" for other values.
 const char* to_string(MessageType t);
-
-/// True for the v4 peer-transfer family (kXferToken, kPeerOffer,
-/// kPeerChunk, kPeerDone); the codec refuses to encode or decode these
-/// on streams that negotiated < 4, and senders use the same predicate to
-/// gate what they enqueue for down-level peers.
-bool is_peer_type(MessageType t);
 
 /// Serializable subset of core::ComputeUnitDescription. The `work`
 /// closure cannot cross a wire; agents resolve the payload by unit id
@@ -152,15 +180,12 @@ struct WireUnitDone {
 };
 
 /// One protocol message. A flat struct rather than a variant: only the
-/// fields of the active `type` are encoded on the wire, the rest stay
-/// default-initialized (and are ignored by operator== via the codec
-/// round-trip tests, which compare decoded against freshly-made values).
+/// fields the active `type`'s schema row names are encoded on the wire,
+/// the rest stay default-initialized (and are ignored by operator== via
+/// the codec round-trip tests, which compare decoded against freshly-made
+/// values). Every field below the header is named by at least one row.
 struct Message {
   MessageType type = MessageType::kHeartbeat;
-  /// Header version to encode with / decoded from the header. Senders set
-  /// this to the negotiated min(own, peer) version; batch types require
-  /// version >= 2 at both encode and decode.
-  std::uint8_t version = kProtocolVersion;
   std::uint64_t seq = 0;
   std::string pilot_id;
 
@@ -183,24 +208,20 @@ struct Message {
   // kPilotTerminated
   core::PilotState pilot_state = core::PilotState::kNew;
 
-  // kExecuteUnit
-  WireUnitDescription unit;
-
-  // kUnitDone
-  std::string unit_id;
-  bool success = false;
-
   // kHeartbeat / kHeartbeatAck
   double timestamp = 0.0;
 
-  // kUnitBatch (v2+)
+  // kUnitBatch
   std::vector<WireUnitDescription> units;
 
-  // kUnitDoneBatch (v2+)
+  // kUnitDoneBatch
   std::vector<WireUnitDone> completions;
 
-  // kObjPut / kObjChunk (v3+): one chunk of a content-addressed object.
-  // `transfer_id` correlates every chunk of one transfer (and the kObjGet
+  // kObjLocate / kXferToken / kPeerDone: the outcome flag (see below).
+  bool success = false;
+
+  // kObjPut / kObjChunk / kPeerChunk: one chunk of a content-addressed
+  // object. `transfer_id` correlates every chunk of one transfer (and the kObjGet
   // that requested it); `chunk_count` in a kObjChunk of 0 is the
   // not-found reply. `chunk_crc` is the CRC32 of `chunk_data`, computed
   // at the source shard and verified end-to-end at the destination —
@@ -219,16 +240,16 @@ struct Message {
   std::string chunk_data;
   std::vector<std::string> sites;
 
-  // kHello (v4+ only): the dial address of the agent's peer listener,
-  // empty when the agent cannot serve peer transfers. Also rides in a
-  // kXferToken grant as the *source's* dial address. v3 frames omit it.
+  // kHello: the dial address of the agent's peer listener, empty when
+  // the listener failed to bind (the pilot is then served by the star
+  // only). Also rides in a kXferToken grant as the *source's* address.
   std::string peer_endpoint;
 
-  // kStartPilot (v4+ only): the fleet's shared token-MAC secret, handed
-  // to each agent once so sources can validate grants offline.
+  // kStartPilot: the fleet's shared token-MAC secret, handed to each
+  // agent once so sources can validate grants offline.
   std::string token_key;
 
-  // kXferToken / kPeerOffer (v4+): the signed transfer grant. The token
+  // kXferToken / kPeerOffer: the signed transfer grant. The token
   // covers {object_id, transfer_id, object_bytes, source_pilot,
   // dest_pilot, chunk_begin..chunk_end, deadline, nonce} under `mac`
   // (keyed FNV over the fleet secret). `deadline` is absolute wall
@@ -251,12 +272,12 @@ std::string encode_message(const Message& message);
 
 /// Appends the serialized body to `out` without clearing it — the
 /// zero-copy arena path. Pair with wire.h begin_frame/end_frame to build
-/// framed messages in place. Throws pa::Error when `message.version` is
-/// outside the supported range or too old for the message type.
+/// framed messages in place. Throws pa::Error when `message.type` is not
+/// a schema type.
 void encode_message_into(std::string& out, const Message& message);
 
 /// Parses a message body; throws pa::Error on malformed input, unknown
-/// type, or unsupported version.
+/// type, or a header version other than kProtocolVersion.
 Message decode_message(const char* data, std::size_t size);
 
 /// Convenience: encode_message + append_frame (wire.h framing).

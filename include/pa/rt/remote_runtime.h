@@ -12,10 +12,10 @@
 ///
 ///     PilotComputeService
 ///            │ core::Runtime
-///     RemoteRuntime (manager)      AgentEndpoint (one per pilot)
-///            │ kStartPilot/kExecuteUnit ──▶ │
-///            │ ◀── kPilotActive/kUnitDone  │ LocalRuntime (pool)
-///            └───── net::Transport ────────┘
+///     RemoteRuntime (manager)         AgentEndpoint (one per pilot)
+///            │ kStartPilot/kUnitBatch ───────▶ │
+///            │ ◀── kPilotActive/kUnitDoneBatch │ LocalRuntime (pool)
+///            └───── net::Transport ────────────┘
 ///
 /// Liveness: the manager heartbeats every agent; an agent that misses
 /// `heartbeat_miss_limit` consecutive intervals is declared dead and its
@@ -84,15 +84,12 @@ struct AgentEndpointConfig {
   /// cover the wire round-trip, so the agent keeps several batches of
   /// queued work per slot.
   int queue_factor = 16;
-  /// Completion-outbox flusher (group-commit batching of kUnitDone).
+  /// Completion-outbox flusher (group-commit batching of completions
+  /// into kUnitDoneBatch frames).
   net::BatchFlusherConfig flusher;
   /// Optional: exports net.batch_size / flush-reason counters plus
   /// net.agent_send_rejected. Must outlive the endpoint.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Highest protocol version this agent speaks — test hook for
-  /// mixed-version deployments (1 = pre-batch peer; the manager then
-  /// falls back to per-unit kExecuteUnit).
-  std::uint8_t wire_version = net::kProtocolVersion;
   /// The pilot's store shard (pa::store data plane). Give it a
   /// memory_capacity_bytes / spill_dir to exercise the LRU tier; the
   /// defaults hold everything in memory.
@@ -113,17 +110,15 @@ struct AgentEndpointConfig {
 /// and — unlike the old fire-and-forget send — retries frames the
 /// transport rejects under backpressure.
 ///
-/// Peer channel (v4): when the agent speaks protocol >= 4 it also
-/// listens on its own endpoint and publishes the resolved address in
-/// kHello. The manager brokers bulk replication by minting signed
+/// Peer channel: the agent also listens on its own endpoint and
+/// publishes the resolved address in kHello. The manager brokers bulk replication by minting signed
 /// transfer tokens (kXferToken) instead of pumping chunks itself: the
 /// destination agent dials the named source lazily, presents the token
 /// (kPeerOffer), and the source streams kPeerChunk frames directly —
 /// object bytes never touch the manager. Each peer connection gets its
 /// own BatchFlusher so a slow peer backpressures only its own stream.
 /// A failed dial (or a listener that could not bind) degrades to the
-/// v3 manager star via kPeerDone{success=false}; v3 fleets never see
-/// any of this.
+/// manager star via kPeerDone{success=false}.
 class AgentEndpoint {
  public:
   /// Connects immediately; throws pa::Error when the manager endpoint is
@@ -155,8 +150,8 @@ class AgentEndpoint {
   store::StoreAgent& store() { return store_; }
 
   /// Resolved peer-listener address published in kHello ("" when the
-  /// agent speaks < v4 or the listener failed to bind — the manager then
-  /// never grants peer transfers sourced from this pilot).
+  /// listener failed to bind — the manager then never grants peer
+  /// transfers sourced from this pilot).
   const std::string& peer_endpoint() const { return peer_endpoint_; }
 
   /// Snapshot of the late-binding scheduler (telemetry / debugging).
@@ -195,7 +190,7 @@ class AgentEndpoint {
   };
 
   void handle_message(const std::string& payload);
-  /// Binds the v4 peer listener and records its resolved address; a bind
+  /// Binds the peer listener and records its resolved address; a bind
   /// failure leaves peer_endpoint_ empty (star fallback) instead of
   /// failing the agent.
   void setup_peer_listener(net::Transport& transport,
@@ -222,8 +217,8 @@ class AgentEndpoint {
   void pump();
   void dispatch(net::WireUnitDescription unit);
   void complete(const std::string& unit_id, bool success);
-  /// Outbox sink: arena-encodes a batch (merging kUnitDone runs into
-  /// kUnitDoneBatch when the peer speaks v2) and gathers it into the
+  /// Outbox sink: arena-encodes a batch (merging each run of queued
+  /// kUnitDoneBatch items into one frame) and gathers it into the
   /// transport. Returns what the transport rejected, for retry.
   std::vector<net::Message> ship(std::vector<net::Message> batch,
                                  net::FlushReason reason);
@@ -258,8 +253,6 @@ class AgentEndpoint {
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};  ///< set by ~AgentEndpoint
   std::atomic<std::uint64_t> seq_{0};
-  /// min(own, manager) protocol version, learned from message headers.
-  std::atomic<std::uint8_t> peer_version_;
   /// Max completions merged per kUnitDoneBatch frame; halves on transport
   /// reject (so frames shrink until they fit the send queue), doubles on
   /// success up to the flusher's max_batch.
@@ -308,7 +301,7 @@ struct RemoteRuntimeConfig {
   /// Dead after `heartbeat_interval_seconds * heartbeat_miss_limit`
   /// without an ack (or any other sign of life).
   int heartbeat_miss_limit = 4;
-  /// Unit-dispatch flusher (group-commit batching of kExecuteUnit into
+  /// Unit-dispatch flusher (group-commit batching of queued units into
   /// kUnitBatch frames).
   net::BatchFlusherConfig flusher;
   /// Required: how pilots become agents.
@@ -336,9 +329,7 @@ class RemoteRuntime : public core::Runtime {
   const std::shared_ptr<PayloadTable>& payloads() const { return payloads_; }
 
   /// Wires the data plane: the store's egress goes through our
-  /// connections (version-gated: pilots that negotiated protocol < 3 are
-  /// reported kGone, and peer-transfer frames additionally require >= 4),
-  /// inbound kObjLocate/kObjChunk/kPeerDone are forwarded to the store,
+  /// connections, inbound kObjLocate/kObjChunk/kPeerDone are forwarded to the store,
   /// pilot lifecycle (active/lost) feeds its membership — including each
   /// agent's published peer dial address — the heartbeat loop drives the
   /// store's token-expiry tick, and unit dispatch prefetches declared
@@ -371,11 +362,9 @@ class RemoteRuntime : public core::Runtime {
     double last_alive = 0.0;  ///< runtime-clock time of last sign of life
     std::uint64_t hello_count = 0;  ///< re-hellos = agent reconnects
     std::uint64_t seq = 0;
-    /// min(own, agent) protocol version from the agent's kHello header.
-    std::uint8_t peer_version = net::kProtocolVersion;
-    /// The agent's published peer-listener address from its v4 kHello
-    /// ("" for v3 agents); handed to the store so grants can name this
-    /// pilot as a transfer source.
+    /// The agent's published peer-listener address from its kHello ("" when
+    /// its listener failed to bind); handed to the store so grants can name
+    /// this pilot as a transfer source.
     std::string peer_endpoint;
     /// Max units per kUnitBatch frame; halves on transport reject so
     /// oversized frames shrink until they fit, doubles on success.
@@ -387,10 +376,9 @@ class RemoteRuntime : public core::Runtime {
                       const std::string& payload);
   void heartbeat_loop();
   bool send_on(const net::ConnectionPtr& conn, net::Message message);
-  /// Dispatch sink: groups queued kExecuteUnit messages by pilot,
-  /// arena-encodes them as kUnitBatch (or per-unit frames for v1 peers)
-  /// of at most flush_cap units, and gathers them into the agent's
-  /// connection. Returns what could not ship yet (no connection,
+  /// Dispatch sink: groups the queued one-unit kUnitBatch items by pilot,
+  /// merges each pilot's run into kUnitBatch frames of at most flush_cap
+  /// units, and gathers them into the agent's connection. Returns what could not ship yet (no connection,
   /// transport reject) for retry. The service binds at most the agent's
   /// announced queue capacity to a pilot, so everything queued for it
   /// fits the agent.

@@ -13,7 +13,7 @@
 /// StoreAgent never touches a connection itself — transport access stays
 /// behind pa::net::Transport, per the socket-confinement lint.
 ///
-/// Protocol behavior (manager star, v3):
+/// Protocol behavior (manager star):
 ///   * kObjPut  — chunks are assembled per transfer_id; when the last
 ///     chunk lands, the object is CRC- and hash-verified and stored.
 ///     Success answers kObjLocate{success=true} (the manager's directory
@@ -27,7 +27,7 @@
 ///     announced as kObjLocate{success=false} piggybacked on the reply
 ///     batch, keeping the manager's directory honest.
 ///
-/// Peer flows (v4): the manager mints a signed TransferToken and sends
+/// Peer flows: the manager mints a signed TransferToken and sends
 /// it to the *destination* (kXferToken). begin_peer_pull() records the
 /// expected transfer and produces the kPeerOffer the destination
 /// presents to the source over a direct connection. The source validates
@@ -88,7 +88,7 @@ class StoreAgent {
   /// AgentEndpoint before any traffic.
   void set_identity(const std::string& pilot_id);
 
-  /// Fleet token key, delivered by kStartPilot on v4. Tokens never
+  /// Fleet token key, delivered by kStartPilot. Tokens never
   /// validate while the key is unset.
   void set_token_key(const std::string& key);
 

@@ -6,8 +6,8 @@
 ///
 /// Control stays a star — agents only ever dial the manager for
 /// placement — but data no longer has to: when both sides of a transfer
-/// are v4 peers that published dial addresses, the manager *brokers*
-/// instead of relaying. It mints a signed, expiring TransferToken naming
+/// published peer dial addresses, the manager *brokers* instead of
+/// relaying. It mints a signed, expiring TransferToken naming
 /// (object, source, dest, chunk range, deadline, nonce) and sends it to
 /// the destination; the destination dials the source directly, presents
 /// the token, and the chunks flow agent-to-agent. The manager stays the
@@ -18,11 +18,12 @@
 /// every eligible source is saturated the grant queues until a kPeerDone
 /// frees a slot.
 ///
-/// Fallback ladder: no eligible peer source (or peer_transfers off, or a
-/// v3 fleet) → the classic star flows below; a failed/expired/orphaned
-/// grant retries the next untried source, then falls back to the star.
+/// Fallback ladder: no eligible peer source (or peer_transfers off, or no
+/// dial address at the destination) → the classic star flows below; a
+/// failed/expired/orphaned grant retries the next untried source, then
+/// falls back to the star.
 ///
-/// Star flows (wire vocabulary in net/message.h, v3):
+/// Star flows (wire vocabulary in net/message.h):
 ///   push  — manager streams kObjPut chunks (pulled lazily from the
 ///           origin shard by the TransferScheduler, never materialized
 ///           whole); the agent assembles, CRC-verifies, stores, and
@@ -71,9 +72,9 @@ struct StoreManagerConfig {
   /// Site name reported for origin-resident bytes (replica_sites).
   std::string origin_site = "origin";
   TransferSchedulerConfig transfer;
-  /// Broker agent-to-agent transfers when both sides are v4 peers with
-  /// dial addresses; false forces every transfer through the manager
-  /// star (the E17 baseline and the v3 behavior).
+  /// Broker agent-to-agent transfers when both sides published dial
+  /// addresses; false forces every transfer through the manager star
+  /// (the E17 baseline).
   bool peer_transfers = true;
   /// Shared secret MACing transfer tokens; distributed to agents in
   /// kStartPilot, so a token is only honored inside one fleet.
@@ -149,12 +150,10 @@ class StoreManager {
 
   // --- membership (driven by the runtime) ------------------------------
 
-  /// `store_capable` is false for pilots that negotiated protocol < 3;
-  /// ensures targeting them fail fast instead of waiting on an announce
-  /// that can never arrive. `peer_endpoint` is the agent's published
-  /// peer dial address ("" for v3 pilots — they never join peer grants).
+  /// Every agent hosts a shard. `peer_endpoint` is the agent's published
+  /// peer dial address ("" when its listener failed to bind — the pilot
+  /// then never joins peer grants and is served by the star).
   void pilot_active(const std::string& pilot_id, const std::string& site,
-                    bool store_capable,
                     const std::string& peer_endpoint = std::string());
 
   /// Drops the pilot's replicas, fails its waiting ensures, reroutes
@@ -203,8 +202,8 @@ class StoreManager {
   double bytes_at_site(const std::string& object_id,
                        const std::string& site) const;
   /// Pilot to stage through for `site`: a holder of `object_id` at the
-  /// site when one exists, else any store-capable pilot there ("" when
-  /// the site has none).
+  /// site when one exists, else any pilot there ("" when the site has
+  /// none).
   std::string pick_pilot_for(const std::string& object_id,
                              const std::string& site) const;
   /// Declares a replica at `site` (unit output registration).
@@ -221,7 +220,6 @@ class StoreManager {
  private:
   struct PilotInfo {
     std::string site;
-    bool capable = true;
     std::string peer_endpoint;  ///< "" = cannot join peer transfers
   };
   struct Ensure {

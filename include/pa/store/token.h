@@ -2,7 +2,7 @@
 /// \file token.h
 /// \brief Signed, expiring transfer grants for the brokered data plane.
 ///
-/// The manager is the sole placement authority but (v4) no longer relays
+/// The manager is the sole placement authority but no longer relays
 /// bytes: it mints a TransferToken naming exactly one transfer — object,
 /// source, dest, chunk range, absolute deadline, single-use nonce — MACs
 /// it under a fleet-wide secret, and hands it to the *destination* pilot

@@ -30,7 +30,7 @@
 ///   * kBusy  — transient backpressure: the frame *and every later frame
 ///              for the same pilot* are retained in order and retried
 ///              after a backoff, so a chunk stream never reorders;
-///   * kGone  — the pilot is unknown, dead, or speaks a pre-v3 protocol:
+///   * kGone  — the pilot is unknown or dead:
 ///              the frame is dropped and the pilot's cursors are torn down
 ///              (pilot death already fails the waiting ensures at the
 ///              manager level).
@@ -57,10 +57,10 @@ enum class SendResult {
 };
 
 /// Sends one object-plane message to a pilot's connection. Supplied by
-/// rt::RemoteRuntime (which owns connections and version negotiation);
-/// must be callable from the pump thread with no caller locks held. The
-/// message is passed by reference so a kBusy result leaves it intact for
-/// retry; the sender may stamp header fields (version, seq) in place.
+/// rt::RemoteRuntime (which owns the connections); must be callable from
+/// the pump thread with no caller locks held. The message is passed by
+/// reference so a kBusy result leaves it intact for retry; the sender may
+/// stamp header fields (seq) in place.
 using ObjSender =
     std::function<SendResult(const std::string& pilot_id, net::Message&)>;
 

@@ -56,7 +56,6 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
       config_(std::move(config)),
       payloads_(std::move(payloads)),
       transport_(transport),
-      peer_version_(std::min(config_.wire_version, net::kProtocolVersion)),
       merge_cap_(std::max<std::size_t>(1, config_.flusher.max_batch)),
       send_rejected_counter_(
           config_.metrics != nullptr
@@ -72,9 +71,7 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
   store_.set_identity(pilot_id_);
   // The peer listener binds BEFORE the manager connection so the very
   // first kHello already carries the resolved dial address.
-  if (std::min(config_.wire_version, net::kProtocolVersion) >= 4) {
-    setup_peer_listener(transport, endpoint);
-  }
+  setup_peer_listener(transport, endpoint);
   net::ConnectionHandlers handlers;
   handlers.on_message = [this](const std::string& payload) {
     handle_message(payload);
@@ -192,9 +189,6 @@ std::unique_ptr<net::BatchFlusher> AgentEndpoint::make_peer_flusher(
                    net::FlushReason /*reason*/) -> std::vector<net::Message> {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           net::Message& m = batch[i];
-          // Peer frames only exist on v4 streams; both ends published
-          // endpoints, so both negotiated >= 4.
-          m.version = net::kProtocolVersion;
           m.pilot_id = pilot_id_;
           m.seq = seq_.fetch_add(1);
           std::string frame;
@@ -379,7 +373,6 @@ void AgentEndpoint::announce_active() {
 void AgentEndpoint::send_direct(net::Message message) {
   // Heartbeat-ack fast path: batching acks would inflate the manager's
   // RTT histogram, and a dropped ack is harmless (the next one answers).
-  message.version = peer_version_.load();
   message.pilot_id = pilot_id_;
   message.seq = seq_.fetch_add(1);
   std::string frame;
@@ -389,36 +382,32 @@ void AgentEndpoint::send_direct(net::Message message) {
 
 std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
                                               net::FlushReason /*reason*/) {
-  const std::uint8_t version = peer_version_.load();
   std::size_t i = 0;
   while (i < batch.size()) {
     arena_.clear();
     std::uint64_t frames = 0;
     std::size_t end = i;
     const std::size_t cap = merge_cap_.load();
-    if (version >= 2 && batch[i].type == net::MessageType::kUnitDone) {
-      // Merge the run of completions into one kUnitDoneBatch frame.
+    if (batch[i].type == net::MessageType::kUnitDoneBatch) {
+      // Merge the run of queued completions into one kUnitDoneBatch frame.
       net::Message b;
       b.type = net::MessageType::kUnitDoneBatch;
-      b.version = version;
       b.pilot_id = pilot_id_;
       while (end < batch.size() && b.completions.size() < cap &&
-             batch[end].type == net::MessageType::kUnitDone) {
-        b.completions.push_back(net::WireUnitDone{
-            batch[end].unit_id, batch[end].success, batch[end].timestamp});
+             batch[end].type == net::MessageType::kUnitDoneBatch) {
+        const std::vector<net::WireUnitDone>& done = batch[end].completions;
+        b.completions.insert(b.completions.end(), done.begin(), done.end());
         ++end;
       }
       b.seq = seq_.fetch_add(1);
       net::append_message_frame(arena_, b);
       frames = 1;
     } else {
-      // Control messages — and everything on a v1 stream — keep their own
-      // frames but still share one gather into the transport.
+      // Control messages keep their own frames but still share one
+      // gather into the transport.
       while (end < batch.size() && end - i < cap &&
-             !(version >= 2 &&
-               batch[end].type == net::MessageType::kUnitDone)) {
+             batch[end].type != net::MessageType::kUnitDoneBatch) {
         net::Message& m = batch[end];
-        m.version = version;
         m.pilot_id = pilot_id_;
         m.seq = seq_.fetch_add(1);
         net::append_message_frame(arena_, m);
@@ -497,10 +486,9 @@ void AgentEndpoint::dispatch(net::WireUnitDescription unit) {
 
 void AgentEndpoint::complete(const std::string& unit_id, bool success) {
   net::Message r;
-  r.type = net::MessageType::kUnitDone;
-  r.unit_id = unit_id;
-  r.success = success;
-  r.timestamp = pa::wall_seconds();
+  r.type = net::MessageType::kUnitDoneBatch;
+  r.completions.push_back(
+      net::WireUnitDone{unit_id, success, pa::wall_seconds()});
   outbox_.push(std::move(r));
   {
     check::MutexLock lock(sched_mu_);
@@ -521,15 +509,11 @@ void AgentEndpoint::handle_message(const std::string& payload) {
   if (m.pilot_id != pilot_id_) {
     return;  // not ours; a confused manager is not our problem to crash on
   }
-  // Every manager message carries the version the manager negotiated for
-  // this pilot; speak min(own, theirs) from here on.
-  peer_version_.store(
-      std::min({config_.wire_version, net::kProtocolVersion, m.version}));
   switch (m.type) {
     case net::MessageType::kStartPilot: {
       if (!m.token_key.empty()) {
-        // v4 start carries the fleet token-MAC secret; applied even on a
-        // duplicate start so a reconnect refreshes it.
+        // The fleet token-MAC secret ("" when the manager has no store);
+        // applied even on a duplicate start so a reconnect refreshes it.
         store_.set_token_key(m.token_key);
       }
       if (started_.exchange(true)) {
@@ -578,12 +562,6 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         outbox_.push(std::move(r));
         outbox_.kick();
       }
-      break;
-    }
-    case net::MessageType::kExecuteUnit: {
-      std::vector<net::WireUnitDescription> units;
-      units.push_back(std::move(m.unit));
-      enqueue_units(std::move(units));
       break;
     }
     case net::MessageType::kUnitBatch: {
@@ -708,7 +686,6 @@ RemoteRuntime::~RemoteRuntime() {
     if (entry->conn) {
       net::Message bye;
       bye.type = net::MessageType::kShutdown;
-      bye.version = entry->peer_version;
       bye.pilot_id = id;
       bye.seq = entry->seq++;
       send_on(entry->conn, std::move(bye));
@@ -755,22 +732,10 @@ void RemoteRuntime::attach_store(store::StoreManager* store) {
         return store::SendResult::kGone;
       }
       auto& entry = *it->second;
-      if (entry.peer_version < 3) {
-        // Pre-object peer: it can never host a shard. The store already
-        // treats such pilots as store-incapable; dropping here is the
-        // backstop for races around version renegotiation.
-        return store::SendResult::kGone;
-      }
-      if (net::is_peer_type(m.type) && entry.peer_version < 4) {
-        // A token frame cannot encode on a v3 stream; report the grant
-        // undeliverable so the scheduler falls back to the star.
-        return store::SendResult::kGone;
-      }
       if (entry.conn == nullptr) {
         // Agent hasn't said hello yet; retry after the pump's backoff.
         return store::SendResult::kBusy;
       }
-      m.version = entry.peer_version;
       m.seq = entry.seq++;  // seq gaps from rejected sends are harmless
       conn = entry.conn;
     }
@@ -835,7 +800,6 @@ void RemoteRuntime::cancel_pilot(const std::string& pilot_id) {
   if (entry->conn) {
     net::Message bye;
     bye.type = net::MessageType::kShutdown;
-    bye.version = entry->peer_version;
     bye.pilot_id = pilot_id;
     bye.seq = entry->seq++;  // entry is detached; no lock needed
     send_on(entry->conn, std::move(bye));
@@ -857,9 +821,10 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
                                  const std::string& unit_id,
                                  std::function<void(bool)> on_done) {
   net::Message m;
-  m.type = net::MessageType::kExecuteUnit;
+  m.type = net::MessageType::kUnitBatch;
   m.pilot_id = pilot_id;
-  m.unit = net::to_wire_unit(unit_id, description, description.work != nullptr);
+  m.units.push_back(
+      net::to_wire_unit(unit_id, description, description.work != nullptr));
   {
     check::MutexLock lock(mutex_);
     const auto it = pilots_.find(pilot_id);
@@ -881,9 +846,9 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
       s->prefetch(pilot_id, description.input_data);
     }
   }
-  // The hot path ends here: the dispatch flusher coalesces queued units
-  // into kUnitBatch frames. Pushed with mutex_ released — the flusher
-  // lock ranks below ours.
+  // The hot path ends here: the dispatch flusher merges the queued
+  // one-unit batches into kUnitBatch frames. Pushed with mutex_ released —
+  // the flusher lock ranks below ours.
   dispatch_->push(std::move(m));
 }
 
@@ -909,12 +874,10 @@ std::vector<net::Message> RemoteRuntime::dispatch(
     bool drop_rest = false;
     while (i < msgs.size()) {
       net::ConnectionPtr conn;
-      std::uint8_t version = net::kProtocolVersion;
       std::size_t take = 0;
       std::size_t cap = 1;
-      net::Message b;  // kUnitBatch under construction (v2 peers)
+      net::Message b;  // the merged kUnitBatch frame
       arena_.clear();
-      std::uint64_t frames = 0;
       {
         check::MutexLock lock(mutex_);
         const auto it = pilots_.find(pilot_id);
@@ -926,40 +889,28 @@ std::vector<net::Message> RemoteRuntime::dispatch(
         } else {
           auto& entry = *it->second;
           conn = entry.conn;
-          version = entry.peer_version;
           cap = std::max<std::size_t>(1, entry.flush_cap);
           if (conn != nullptr) {
             take = std::min(msgs.size() - i, cap);
           }
           if (take > 0) {
-            if (version >= 2) {
-              b.type = net::MessageType::kUnitBatch;
-              b.version = version;
-              b.pilot_id = pilot_id;
-              b.seq = entry.seq++;
-              b.units.reserve(take);
-              for (std::size_t j = 0; j < take; ++j) {
-                b.units.push_back(std::move(msgs[i + j].unit));
-              }
-              net::append_message_frame(arena_, b);
-              frames = 1;
-            } else {
-              // Pre-batch peer: per-unit frames, but still one gather.
-              for (std::size_t j = 0; j < take; ++j) {
-                net::Message& m = msgs[i + j];
-                m.version = version;
-                m.seq = entry.seq++;
-                net::append_message_frame(arena_, m);
-                ++frames;
+            b.type = net::MessageType::kUnitBatch;
+            b.pilot_id = pilot_id;
+            b.seq = entry.seq++;
+            b.units.reserve(take);
+            for (std::size_t j = 0; j < take; ++j) {
+              for (net::WireUnitDescription& u : msgs[i + j].units) {
+                b.units.push_back(std::move(u));
               }
             }
+            net::append_message_frame(arena_, b);
           }
         }
       }
       if (drop_rest || take == 0) {
         break;  // drop, or retain msgs[i..) below (no conn)
       }
-      if (conn->send_gather(arena_, frames)) {
+      if (conn->send_gather(arena_, 1)) {
         {
           check::MutexLock lock(mutex_);
           const auto it = pilots_.find(pilot_id);
@@ -982,11 +933,12 @@ std::vector<net::Message> RemoteRuntime::dispatch(
             it->second->flush_cap = cap > 1 ? cap / 2 : 1;
           }
         }
-        if (version >= 2) {
-          // The units were moved into the rejected batch frame; move
-          // them back so the retry re-encodes them.
-          for (std::size_t j = 0; j < take; ++j) {
-            msgs[i + j].unit = std::move(b.units[j]);
+        // The units were moved into the rejected frame; move them back
+        // so the retry re-encodes them.
+        auto next = b.units.begin();
+        for (std::size_t j = 0; j < take; ++j) {
+          for (net::WireUnitDescription& u : msgs[i + j].units) {
+            u = std::move(*next++);
           }
         }
         break;  // retain msgs[i..)
@@ -1049,24 +1001,16 @@ void RemoteRuntime::handle_message(
           entry->conn = conn;
           ++entry->hello_count;
           entry->last_alive = now();
-          // Version negotiation: the hello header carries the agent's
-          // newest version; everything to this pilot now speaks
-          // min(ours, theirs). Batch frames need >= 2.
-          entry->peer_version = std::min(net::kProtocolVersion, m.version);
-          // v4 hellos publish the agent's peer-listener address; it is
+          // The hello publishes the agent's peer-listener address; it is
           // handed to the store at kPilotActive so grants can name this
           // pilot as a transfer source.
-          entry->peer_endpoint =
-              entry->peer_version >= 4 ? m.peer_endpoint : std::string();
+          entry->peer_endpoint = m.peer_endpoint;
           start = net::make_start_pilot(m.pilot_id, entry->description);
-          start.version = entry->peer_version;
           start.seq = entry->seq++;
-          if (entry->peer_version >= 4) {
-            // Ship the fleet token key so the agent can validate peer
-            // grants offline (config_ is immutable after construction).
-            if (store::StoreManager* s = store_.load()) {
-              start.token_key = s->config().token_key;
-            }
+          // Ship the fleet token key so the agent can validate peer grants
+          // offline (config_ is immutable after construction).
+          if (store::StoreManager* s = store_.load()) {
+            start.token_key = s->config().token_key;
           }
         }
       }
@@ -1075,7 +1019,6 @@ void RemoteRuntime::handle_message(
         // away; we may not close from its own handler.
         net::Message bye;
         bye.type = net::MessageType::kShutdown;
-        bye.version = std::min(net::kProtocolVersion, m.version);
         bye.pilot_id = m.pilot_id;
         send_on(conn, std::move(bye));
         return;
@@ -1086,7 +1029,6 @@ void RemoteRuntime::handle_message(
     }
     case net::MessageType::kPilotActive: {
       std::function<void(const std::string&, int, const std::string&)> cb;
-      std::uint8_t peer_version = net::kProtocolVersion;
       std::string peer_endpoint;
       {
         check::MutexLock lock(mutex_);
@@ -1095,7 +1037,6 @@ void RemoteRuntime::handle_message(
           return;
         }
         it->second->last_alive = now();
-        peer_version = it->second->peer_version;
         peer_endpoint = it->second->peer_endpoint;
         cb = it->second->callbacks.on_active;
       }
@@ -1104,8 +1045,7 @@ void RemoteRuntime::handle_message(
       // and ensure_on must already know the pilot's site. Store calls run
       // with mutex_ released — its lock ranks below ours (11 < 14).
       if (store::StoreManager* s = store_.load()) {
-        s->pilot_active(m.pilot_id, m.site, peer_version >= 3,
-                        peer_endpoint);
+        s->pilot_active(m.pilot_id, m.site, peer_endpoint);
       }
       // Callbacks run with no net lock held: they re-enter the service
       // (rank 10 < ours) — see the lock-hierarchy note in the header.
@@ -1159,31 +1099,6 @@ void RemoteRuntime::handle_message(
       if (store::StoreManager* s = store_.load()) {
         s->on_agent_message(m.pilot_id, m);
       }
-      break;
-    }
-    case net::MessageType::kUnitDone: {
-      std::function<void(bool)> done;
-      {
-        check::MutexLock lock(mutex_);
-        const auto it = pilots_.find(m.pilot_id);
-        if (it == pilots_.end()) {
-          return;
-        }
-        it->second->last_alive = now();
-        const auto unit_it = it->second->inflight.find(m.unit_id);
-        if (unit_it != it->second->inflight.end()) {
-          done = std::move(unit_it->second);
-          it->second->inflight.erase(unit_it);
-        }
-      }
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("net.units_done").inc();
-      }
-      if (done) {
-        done(m.success);
-      }
-      // else: stale completion for a requeued attempt; dropped, exactly
-      // like the service's own attempt tagging.
       break;
     }
     case net::MessageType::kUnitDoneBatch: {
@@ -1270,7 +1185,6 @@ void RemoteRuntime::heartbeat_loop() {
       if (entry->conn) {
         net::Message hb;
         hb.type = net::MessageType::kHeartbeat;
-        hb.version = entry->peer_version;
         hb.pilot_id = it->first;
         hb.seq = entry->seq++;
         hb.timestamp = pa::wall_seconds();

@@ -20,7 +20,7 @@ void StoreDataService::stage_to_site(const std::string& du_id,
   }
   const std::string pilot_id = store_.pick_pilot_for(du_id, site);
   if (pilot_id.empty()) {
-    done();  // no store-capable pilot at the site
+    done();  // no pilot at the site
     return;
   }
   // Complete the barrier either way: a failed transfer means the unit

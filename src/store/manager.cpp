@@ -132,7 +132,7 @@ std::uint64_t StoreManager::object_bytes(const std::string& object_id) const {
 }
 
 void StoreManager::pilot_active(const std::string& pilot_id,
-                                const std::string& site, bool store_capable,
+                                const std::string& site,
                                 const std::string& peer_endpoint) {
   check::MutexLock lock(mutex_);
   auto it = pilots_.find(pilot_id);
@@ -140,7 +140,7 @@ void StoreManager::pilot_active(const std::string& pilot_id,
     auto& old = sites_[it->second.site];
     old.erase(std::remove(old.begin(), old.end(), pilot_id), old.end());
   }
-  pilots_[pilot_id] = PilotInfo{site, store_capable, peer_endpoint};
+  pilots_[pilot_id] = PilotInfo{site, peer_endpoint};
   auto& at_site = sites_[site];
   if (std::find(at_site.begin(), at_site.end(), pilot_id) == at_site.end()) {
     at_site.push_back(pilot_id);
@@ -354,8 +354,7 @@ void StoreManager::ensure_on_locked(const std::string& pilot_id,
     return;
   }
   auto pit = pilots_.find(pilot_id);
-  if (pit == pilots_.end() || !pit->second.capable ||
-      !directory_.known(object_id)) {
+  if (pit == pilots_.end() || !directory_.known(object_id)) {
     ++stats_.ensure_failures;
     bump(metrics_.ensure_failures);
     to_fire.emplace_back(std::move(done), false);
@@ -404,8 +403,7 @@ StoreManager::GrantOutcome StoreManager::try_peer_grant_locked(
     return GrantOutcome::kNoSource;
   }
   auto dit = pilots_.find(dest);
-  if (dit == pilots_.end() || !dit->second.capable ||
-      dit->second.peer_endpoint.empty()) {
+  if (dit == pilots_.end() || dit->second.peer_endpoint.empty()) {
     return GrantOutcome::kNoSource;
   }
   // Size floor: the four-hop broker handshake only amortizes over bulk
@@ -424,8 +422,7 @@ StoreManager::GrantOutcome StoreManager::try_peer_grant_locked(
       continue;
     }
     auto hit = pilots_.find(holder);
-    if (hit == pilots_.end() || !hit->second.capable ||
-        hit->second.peer_endpoint.empty()) {
+    if (hit == pilots_.end() || hit->second.peer_endpoint.empty()) {
       continue;
     }
     const auto lit = inflight_by_source_.find(holder);
@@ -586,8 +583,7 @@ bool StoreManager::choose_source_locked(Pull& pull) {
     if (holder == kOriginHolder || pull.tried.count(holder) != 0) {
       continue;
     }
-    auto pit = pilots_.find(holder);
-    if (pit == pilots_.end() || !pit->second.capable) {
+    if (pilots_.count(holder) == 0) {
       continue;
     }
     pull.source = holder;
@@ -648,12 +644,12 @@ void StoreManager::repair_to_locked(const std::string& object_id, int target,
     }
   }
   while (have < static_cast<std::size_t>(target)) {
-    // Least-loaded capable pilot not already holding (or receiving) the
+    // Least-loaded pilot not already holding (or receiving) the
     // object; ties break on pilot id, so placement is deterministic.
     std::string dest;
     std::uint64_t dest_load = 0;
     for (const auto& [pilot_id, info] : pilots_) {
-      if (!info.capable || directory_.has(object_id, pilot_id) ||
+      if (directory_.has(object_id, pilot_id) ||
           pending_.count({pilot_id, object_id}) != 0) {
         continue;
       }
@@ -904,8 +900,7 @@ std::string StoreManager::pick_pilot_for(const std::string& object_id,
   }
   std::string fallback;
   for (const std::string& pilot_id : sit->second) {
-    auto pit = pilots_.find(pilot_id);
-    if (pit == pilots_.end() || !pit->second.capable) {
+    if (pilots_.count(pilot_id) == 0) {
       continue;
     }
     if (directory_.has(object_id, pilot_id)) {
@@ -929,8 +924,7 @@ void StoreManager::record_output(const std::string& object_id,
     return;
   }
   for (const std::string& pilot_id : sit->second) {
-    auto pit = pilots_.find(pilot_id);
-    if (pit != pilots_.end() && pit->second.capable) {
+    if (pilots_.count(pilot_id) != 0) {
       directory_.add(object_id, 0, pilot_id);
       update_gauges_locked();
       return;

@@ -18,10 +18,10 @@ using namespace std::chrono_literals;
 
 Message unit_done(int i) {
   Message m;
-  m.type = MessageType::kUnitDone;
+  m.type = MessageType::kUnitDoneBatch;
   m.pilot_id = "p";
-  m.unit_id = "unit-" + std::to_string(i);
-  m.success = true;
+  m.completions.push_back(
+      WireUnitDone{"unit-" + std::to_string(i), true, 0.0});
   return m;
 }
 
@@ -52,7 +52,7 @@ class RecordingSink {
       batch_sizes_.push_back(batch.size());
       reasons_.push_back(reason);
       for (auto& m : batch) {
-        delivered_.push_back(std::move(m.unit_id));
+        delivered_.push_back(std::move(m.completions.front().unit_id));
       }
       return std::vector<Message>{};
     };

@@ -129,7 +129,7 @@ struct RemoteStack {
   }
 
   /// Applied to agents the launcher creates from this point on; set it
-  /// before submitting pilots (test hook for mixed-version / flusher
+  /// before submitting pilots (test hook for flusher and queue
   /// configurations).
   AgentEndpointConfig agent_config;
   AgentFarm farm;
@@ -411,11 +411,6 @@ TEST(RemoteRuntime, BackpressuredAgentSendPathLosesNoCompletions) {
             case net::MessageType::kPilotActive: {
               check::MutexLock lock(manager.mu);
               manager.active = true;
-              break;
-            }
-            case net::MessageType::kUnitDone: {
-              check::MutexLock lock(manager.mu);
-              manager.completions.push_back(m.unit_id);
               break;
             }
             case net::MessageType::kUnitDoneBatch: {
@@ -714,29 +709,6 @@ TEST(RemoteRuntime, AgentNeverHoldsMoreThanItsQueueCapacity) {
   EXPECT_EQ(stack.service->metrics().units_done,
             static_cast<std::size_t>(kUnits));
   EXPECT_EQ(executions.load(), kUnits) << "a unit ran twice";
-  transport.stop();
-}
-
-// Mixed-version deployment: an agent that only speaks protocol v1 must get
-// per-unit kExecuteUnit dispatch (no batch frames) and still complete the
-// workload — version negotiation downgrades cleanly instead of latching
-// the decoder.
-TEST(RemoteRuntime, PreBatchAgentFallsBackToPerUnitDispatch) {
-  net::InProcTransport transport;
-  RemoteStack stack(transport, "inproc://manager");
-  stack.agent_config.wire_version = 1;
-
-  Pilot pilot = stack.service->submit_pilot(remote_pilot(2, "site-a"));
-  pilot.wait_active(10.0);
-
-  constexpr int kUnits = 40;
-  std::vector<int> results;
-  run_workload(*stack.service, kUnits, results);
-  for (int i = 0; i < kUnits; ++i) {
-    EXPECT_EQ(results[i], i * i) << "unit " << i;
-  }
-  EXPECT_EQ(stack.service->metrics().units_done,
-            static_cast<std::size_t>(kUnits));
   transport.stop();
 }
 

@@ -1,7 +1,7 @@
 /// \file test_peer_transfer.cpp
 /// \brief Brokered peer-to-peer data plane: end-to-end grants over a live
-/// fleet, v3 negotiation down to the star, and deterministic grant-ledger
-/// mechanics against a recording sender (no transport).
+/// fleet, and deterministic grant-ledger mechanics (including the fall
+/// back to the star) against a recording sender (no transport).
 
 #include <gtest/gtest.h>
 
@@ -197,39 +197,6 @@ TEST(PeerTransfer, PeerGrantMovesBytesAgentToAgent) {
   transport.stop();
 }
 
-TEST(PeerTransfer, V3FleetNegotiatesDownToStar) {
-  net::InProcTransport transport;
-  StoreManager store;
-  StoreStack stack(transport, "inproc://peer-v3", store);
-  stack.agent_config.wire_version = 3;  // the whole fleet predates tokens
-
-  Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
-  Pilot p2 = stack.service->submit_pilot(remote_pilot(2, "site-b"));
-  p1.wait_active(10.0);
-  p2.wait_active(10.0);
-
-  // v3 agents never open a peer listener, so no dial address exists.
-  AgentEndpoint* a1 = stack.farm.agent(p1.id());
-  ASSERT_NE(a1, nullptr);
-  EXPECT_TRUE(a1->peer_endpoint().empty());
-
-  const std::string bytes = pattern_bytes(120'000, 13);
-  const std::string oid = store.put(bytes);
-  ASSERT_TRUE(ensure_sync(store, p1.id(), oid));
-  ASSERT_TRUE(ensure_sync(store, p2.id(), oid));
-
-  const StoreManagerStats stats = store.stats();
-  EXPECT_EQ(stats.pushes, 2u);  // both placements rode the star
-  EXPECT_EQ(stats.tokens_minted, 0u);
-  EXPECT_EQ(stats.peer_transfers, 0u);
-  EXPECT_EQ(stats.peer_bytes, 0u);
-
-  AgentEndpoint* a2 = stack.farm.agent(p2.id());
-  ASSERT_NE(a2, nullptr);
-  EXPECT_EQ(a2->store().shard().get(oid).value_or(""), bytes);
-  transport.stop();
-}
-
 TEST(PeerTransfer, StreamingPutMovesOversizeObjectThroughStore) {
   TempDir spill;
   net::InProcTransport transport;
@@ -290,7 +257,7 @@ struct FakeFleet {
   }
 
   void activate(const std::string& pilot, const std::string& endpoint) {
-    store.pilot_active(pilot, "site-" + pilot, true, endpoint);
+    store.pilot_active(pilot, "site-" + pilot, endpoint);
   }
 
   void seed_holder(const std::string& pilot, const std::string& object_id,
@@ -313,6 +280,15 @@ struct FakeFleet {
     m.success = success;
     m.object_bytes = object_bytes;
     store.on_agent_message(pilot, m);
+  }
+
+  /// Recorded frames of `type` sent to `pilot`.
+  std::size_t count_sent(const std::string& pilot, net::MessageType type) {
+    check::MutexLock lock(mu);
+    return static_cast<std::size_t>(
+        std::count_if(sent.begin(), sent.end(), [&](const auto& frame) {
+          return frame.first == pilot && frame.second.type == type;
+        }));
   }
 
   /// Recorded kXferToken frames: grants (success) or revocations (!).
@@ -504,6 +480,29 @@ TEST(PeerGrant, SmallObjectRidesStarDespiteEligiblePeerSource) {
   EXPECT_EQ(fleet.store.stats().tokens_minted, 0u);
   EXPECT_EQ(fleet.store.stats().pushes, 1u);
   EXPECT_EQ(fleet.store.stats().peer_fallbacks, 0u);
+}
+
+TEST(PeerGrant, HolderWithoutPeerEndpointFallsBackToStar) {
+  // An agent whose peer listener failed to bind publishes no dial
+  // address, so it can never source a grant: placing its only replica
+  // elsewhere mints no token and rides the star from the origin.
+  FakeFleet fleet;
+  fleet.activate("p1", "");
+  fleet.activate("p2", "inproc://peer-p2");
+  const std::string bytes = pattern_bytes(3000, 13);
+  const std::string oid = fleet.store.put(bytes);
+  fleet.seed_holder("p1", oid, bytes.size());
+
+  fleet.store.ensure_on("p2", oid, nullptr);
+  ASSERT_TRUE(wait_for(
+      [&] { return fleet.count_sent("p2", net::MessageType::kObjPut) > 0; },
+      10.0));
+  EXPECT_EQ(fleet.count_sent("p2", net::MessageType::kXferToken), 0u);
+  EXPECT_EQ(fleet.count_sent("p1", net::MessageType::kXferToken), 0u);
+  const StoreManagerStats stats = fleet.store.stats();
+  EXPECT_EQ(stats.pushes, 1u);
+  EXPECT_EQ(stats.tokens_minted, 0u);
+  EXPECT_EQ(fleet.store.active_grants(), 0u);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@ TEST(TransferTokenTest, MessageRoundTripPreservesEveryField) {
   const std::uint64_t mac = token_mac(t, "key");
   net::Message m;
   m.type = net::MessageType::kXferToken;
-  m.version = 4;
   m.pilot_id = "p-dst";
   token_to_message(t, mac, m);
   m.peer_endpoint = "inproc://peer-src";

@@ -1,17 +1,16 @@
-"""Golden-fixture tests for the four pa_analyze passes.
+"""Golden-fixture tests for the three pa_analyze passes.
 
 Each fixture under fixtures/ is a miniature repository tree (its own
 include/, src/, docs/) analyzed as a root of its own, so exactly the
 code that gates CI runs here. Every pass gets one clean fixture that
 must produce zero findings and one seeded-violation fixture it must
-flag: a rank inversion, a dropped decode field, an unhandled command,
-and a typo'd metric name — the ISSUE's four canonical defects.
+flag: a rank inversion, an unhandled command, and a typo'd metric name.
 """
 
 import unittest
 from pathlib import Path
 
-from tools.pa_analyze import codec, commands, lock_order, metrics
+from tools.pa_analyze import commands, lock_order, metrics
 from tools.pa_analyze.source import Index
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -67,27 +66,6 @@ class LockOrderPass(unittest.TestCase):
                     for f in findings), findings)
         finally:
             (FIXTURES / "lock_clean" / "DESIGN.md").write_text(design)
-
-
-class CodecPass(unittest.TestCase):
-    def test_clean_fixture_has_no_findings(self):
-        self.assertEqual(run_pass(codec, "codec_clean"), [])
-
-    def test_dropped_decode_field_is_flagged(self):
-        findings = run_pass(codec, "codec_dropped_field")
-        msgs = messages(findings)
-        self.assertTrue(
-            any("never decoded" in m and "crc" in m for m in msgs), msgs)
-
-    def test_ungated_peer_decode_is_flagged(self):
-        # A (v4+)-tagged peer type whose decode path lacks the
-        # `is_peer_type(...) && version < 4` guard: v3 fleets would
-        # accept frames the negotiation promised they never see.
-        findings = run_pass(codec, "codec_peer_ungated")
-        msgs = messages(findings)
-        self.assertEqual(len(findings), 1, msgs)
-        self.assertIn("decode path has no `is_peer_type", msgs[0])
-        self.assertIn("version < 4", msgs[0])
 
 
 class CommandsPass(unittest.TestCase):

@@ -2,7 +2,7 @@
 repository.
 
 tools/lint.py enforces *per-file* disciplines with per-line regexes; the
-four passes here check invariants that span files — the things a reviewer
+three passes here check invariants that span files — the things a reviewer
 has to hold in their head across the whole tree:
 
   lock-order   every `check::MutexLock` acquisition site, the rank its
@@ -12,12 +12,6 @@ has to hold in their head across the whole tree:
                executed or not — strictly stronger than the runtime
                lock-rank validator, which only sees executed paths. Also
                regenerates the DESIGN.md lock table and fails on drift.
-
-  codec        every `net::MessageType`'s encode and decode logic in
-               src/net/message.cpp must agree on field order, width, and
-               version gating; an encoded-but-not-decoded field, a
-               reordered field, or a v3 type handled without the version
-               guard is a finding.
 
   commands     every variant member of `core::cmd::Command` has an
                apply-side handler, every handler handles a real variant
@@ -55,4 +49,4 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.pass_name}] {self.message}"
 
 
-PASS_NAMES = ("lock-order", "codec", "commands", "metrics")
+PASS_NAMES = ("lock-order", "commands", "metrics")

@@ -1,6 +1,6 @@
 """Command-line driver: load the index once, run the requested passes.
 
-    python3 tools/pa_analyze                    # all four passes
+    python3 tools/pa_analyze                    # all three passes
     python3 tools/pa_analyze --pass lock-order  # one pass
     python3 tools/pa_analyze --emit-lock-table  # print the generated table
     python3 tools/pa_analyze --fix-lock-table   # rewrite DESIGN.md block
@@ -17,11 +17,10 @@ from pathlib import Path
 
 from . import PASS_NAMES, Finding
 from .source import Index
-from . import codec, commands, lock_order, metrics
+from . import commands, lock_order, metrics
 
 PASSES = {
     "lock-order": lock_order.run,
-    "codec": codec.run,
     "commands": commands.run,
     "metrics": metrics.run,
 }
@@ -41,8 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pa_analyze",
         description="whole-program invariant analyzer (lock-order graph, "
-                    "codec symmetry, command exhaustiveness, metric "
-                    "manifest)")
+                    "command exhaustiveness, metric manifest)")
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         .parent,
