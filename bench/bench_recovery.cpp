@@ -6,20 +6,24 @@
 /// The headline metric is the *durability* overhead of group commit —
 /// its cost over sync=none (journaling with fsync left to the OS) —
 /// because that is the cost group commit exists to amortize; it must
-/// stay within 10%. The absolute cost of journaling at all (vs the
-/// no-journal baseline) is reported alongside: each submit serializes
-/// several validated lifecycle records through the manager, which is
-/// the price of a recoverable history, not of the fsync policy.
+/// stay within 10%. Every mode runs once per round, in an order that
+/// rotates between rounds, so host noise lasting a run or two hits each
+/// mode; the table reports medians, and the PASS/FAIL line reads the
+/// ratio of the group-commit and sync=none medians. The absolute cost of
+/// journaling at all (vs the no-journal baseline) is reported alongside:
+/// each submit serializes several validated lifecycle records through the
+/// manager, which is the price of a recoverable history, not of the fsync
+/// policy.
 ///
 /// Part B measures the recovery side: time for RecoveryCoordinator to
 /// replay logs of growing length, with and without a compacted snapshot
 /// (which shrinks replay work to the post-snapshot suffix).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -81,19 +85,22 @@ double run_submit_path(journal::Journal* j) {
   return elapsed;
 }
 
-double best_of(int reps, journal::WriterConfig::Sync sync, bool journaled) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    TempDir dir;
-    journal::JournalConfig config;
-    config.writer.sync = sync;
-    std::unique_ptr<journal::Journal> j;
-    if (journaled) {
-      j = std::make_unique<journal::Journal>(dir.path, config);
-    }
-    best = std::min(best, run_submit_path(j.get()));
+struct Mode {
+  const char* label;
+  bool journaled;
+  journal::WriterConfig::Sync sync;
+};
+
+/// One submit-path run in a fresh journal directory.
+double run_mode(const Mode& mode) {
+  TempDir dir;
+  journal::JournalConfig config;
+  config.writer.sync = mode.sync;
+  std::unique_ptr<journal::Journal> j;
+  if (mode.journaled) {
+    j = std::make_unique<journal::Journal>(dir.path, config);
   }
-  return best;
+  return run_submit_path(j.get());
 }
 
 // --- Part B: recovery time vs log length ----------------------------------
@@ -157,45 +164,46 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* metrics = metrics_path.empty() ? nullptr : &registry;
 
+  constexpr int kRounds = 5;
   Table overhead("E13a: submit-path cost, " + std::to_string(kUnits) +
-                 " units on LocalRuntime (best of 3)");
+                 " units on LocalRuntime (median of " +
+                 std::to_string(kRounds) + " interleaved rounds)");
   overhead.set_columns({Column{"mode", 0, true},
                         Column{"submit_loop_s", 4, true},
                         Column{"per_unit_us", 2, true},
                         Column{"overhead_pct", 1, true}});
 
-  constexpr int kReps = 3;
-  const double baseline =
-      best_of(kReps, journal::WriterConfig::Sync::kGroup, /*journaled=*/false);
-  struct Mode {
-    const char* label;
-    journal::WriterConfig::Sync sync;
-  };
-  const Mode modes[] = {
-      {"sync=none", journal::WriterConfig::Sync::kNone},
-      {"group-commit", journal::WriterConfig::Sync::kGroup},
-      {"fsync-every-record", journal::WriterConfig::Sync::kEveryRecord}};
-  overhead.add_row({std::string("no-journal"), baseline,
-                    baseline * 1e6 / kUnits, 0.0});
-  double none_s = 0.0;
-  double group_s = 0.0;
-  for (const Mode& mode : modes) {
-    const double t = best_of(kReps, mode.sync, /*journaled=*/true);
-    if (mode.sync == journal::WriterConfig::Sync::kNone) {
-      none_s = t;
-    } else if (mode.sync == journal::WriterConfig::Sync::kGroup) {
-      group_s = t;
+  using Sync = journal::WriterConfig::Sync;
+  const Mode modes[] = {{"no-journal", false, Sync::kGroup},
+                        {"sync=none", true, Sync::kNone},
+                        {"group-commit", true, Sync::kGroup},
+                        {"fsync-every-record", true, Sync::kEveryRecord}};
+  constexpr std::size_t kModes = std::size(modes);
+  constexpr std::size_t kNone = 1;
+  constexpr std::size_t kGroupCommit = 2;
+  SampleSet runs[kModes];
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < kModes; ++k) {
+      const std::size_t m = (k + static_cast<std::size_t>(round)) % kModes;
+      runs[m].add(run_mode(modes[m]));
     }
-    overhead.add_row({std::string(mode.label), t, t * 1e6 / kUnits,
+  }
+  const double baseline = runs[0].median();
+  for (std::size_t m = 0; m < kModes; ++m) {
+    const double t = runs[m].median();
+    overhead.add_row({std::string(modes[m].label), t, t * 1e6 / kUnits,
                       (t - baseline) / baseline * 100.0});
   }
   overhead.print(std::cout);
+  const double none_s = runs[kNone].median();
+  const double group_s = runs[kGroupCommit].median();
   const double durability_pct = (group_s - none_s) / none_s * 100.0;
   std::cout << "\nJournal overhead on the submit hot path with group commit "
                "enabled:\n  durability cost of group commit vs non-durable "
                "journaling (sync=none): "
             << std::fixed << std::setprecision(1) << durability_pct
-            << "%  (bound: <= 10%)\n"
+            << "%  (median of " << kRounds << " vs median of " << kRounds
+            << "; bound: <= 10%)\n"
             << (durability_pct <= 10.0 ? "  PASS" : "  FAIL")
             << " — an append only copies the encoded record onto the "
                "pending buffer; the\n  background flusher batches the CRCs, "
@@ -243,5 +251,7 @@ int main(int argc, char** argv) {
                "to loading the snapshot — O(live state), independent of\n"
                "how long the run has been appending history.\n";
   write_metrics_file(metrics_path, metrics);
+  // Reported, not enforced: on a shared 4-vCPU host the ratio of the two
+  // medians still reads FAIL in about one run in ten (EXPERIMENTS.md E13a).
   return 0;
 }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     service.wait_all_units(30 * 24 * 3600.0);
     const auto m = service.metrics();
     table.add_row({policy, world.engine.now() - t0, m.unit_wait_times.mean(),
-                   m.unit_wait_times.percentile(99.0),
+                   m.unit_wait_times.p99(),
                    static_cast<std::int64_t>(core_seconds)});
   }
   table.print(std::cout);

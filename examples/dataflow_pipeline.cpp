@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "pa/common/rng.h"
+#include "pa/common/stats.h"
 #include "pa/core/pilot_compute_service.h"
 #include "pa/engines/dataflow.h"
 #include "pa/rt/local_runtime.h"

@@ -32,7 +32,9 @@ class LatencyHistogram {
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
 
-  /// Approximate quantile, q in [0, 1].
+  /// Approximate quantile, q in [0, 1]: the order statistic
+  /// `SampleSet::percentile(100 * q)` computes, with each inner rank read
+  /// as its bucket's midpoint (q = 0 and q = 1 are the exact extrema).
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
@@ -60,6 +62,8 @@ class LatencyHistogram {
 
   int bucket_index(double value) const;
   double bucket_midpoint(int index) const;
+  /// Estimated value of the `rank`-th smallest sample (0-based).
+  double value_at_rank(std::uint64_t rank) const;
 };
 
 }  // namespace pa

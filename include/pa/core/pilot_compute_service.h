@@ -19,9 +19,11 @@
 ///  * **Writes.** Every mutation is a command posted to the owning
 ///    shard's queue. Cross-shard traffic (stale callbacks after a pilot
 ///    move) travels as forwarded commands on the same queues.
-///  * **Reads.** Accessors merge the per-shard read-mostly snapshots;
-///    each shard's snapshot mutex (LockRank::kService) guards only its
-///    own swap.
+///  * **Reads.** Accessors read each shard's read model under that
+///    shard's snapshot mutex (LockRank::kService) and merge the results.
+///    The mutex guards the reads themselves: a lookup copies one entry,
+///    and `metrics()` merges a fixed-size `ServiceMetrics` per shard.
+///    Nothing is cloned.
 ///  * **Admission.** With an `AdmissionInterface` attached (see
 ///    pa::tenant::TenantRegistry), submissions are admitted on the
 ///    producer thread *before* consuming queue space and throw

@@ -4,21 +4,33 @@
 ///
 /// Lives in its own header so both the sharded engine (service_shard.h)
 /// and the facade (pilot_compute_service.h) can speak the same metrics
-/// type without an include cycle. With N shards the facade merges the
-/// per-shard copies: SampleSets append, counters sum, first_submit takes
+/// type without an include cycle. The state is fixed-size whatever the
+/// number of units: each latency series is a `pa::LatencyHistogram`
+/// (count, sum, mean, min and max exact; quantiles within the bucket
+/// half-width, ~3%). With N shards the facade merges the per-shard
+/// copies: histograms add bucket-wise, counters sum, first_submit takes
 /// the earliest and last_finish the latest recorded time.
 
 #include <cstddef>
 
-#include "pa/common/stats.h"
+#include "pa/common/histogram.h"
 
 namespace pa::core {
 
+/// Bounds of every service latency histogram (`ServiceMetrics` and the
+/// `pcs.unit_wait`/`pcs.unit_exec`/`pcs.pilot_startup` registry series):
+/// 1 µs, for wall-clock waits on a local pilot, up to 32 days, for
+/// simulated campaigns.
+inline constexpr double kLatencyMinSeconds = 1e-6;
+inline constexpr double kLatencyMaxSeconds = 32.0 * 24.0 * 3600.0;
+
 /// Aggregated execution metrics (basis of E1/E2 tables).
 struct ServiceMetrics {
-  pa::SampleSet pilot_startup_times;  ///< submit -> active per pilot
-  pa::SampleSet unit_wait_times;      ///< submit -> start per unit
-  pa::SampleSet unit_exec_times;      ///< start -> finish per unit
+  /// Seconds from submit to active per pilot, and from submit to start
+  /// and start to finish per unit.
+  LatencyHistogram pilot_startup_times{kLatencyMinSeconds, kLatencyMaxSeconds};
+  LatencyHistogram unit_wait_times{kLatencyMinSeconds, kLatencyMaxSeconds};
+  LatencyHistogram unit_exec_times{kLatencyMinSeconds, kLatencyMaxSeconds};
   std::size_t units_done = 0;
   std::size_t units_failed = 0;
   std::size_t units_canceled = 0;

@@ -6,7 +6,7 @@
 /// `PilotComputeService` (the facade) partitions its state across N
 /// `ServiceShard`s. Each shard is the old single-plane engine verbatim —
 /// its own bounded MPSC command queue, its own apply context, its own
-/// workload manager, journal sink, and atomically-swapped read model —
+/// workload manager, journal sink, and lock-guarded read model —
 /// so shards scale the apply path without sharing a lock.
 ///
 /// Cross-shard traffic travels as *forwarded commands* on the very same
@@ -126,27 +126,13 @@ class ServiceShard {
     bool router_pinned = false;
   };
 
-  /// The read-mostly snapshot (see pilot_compute_service.h for the
-  /// clone-on-write publication discipline).
+  /// What readers see (pilot_compute_service.h "Reads"). The apply
+  /// thread flushes records at batch end and records `metrics` per event.
   struct ReadModel {
     std::map<std::string, PilotState> pilot_states;
     std::map<std::string, UnitSnap> units;
     ServiceMetrics metrics;
     std::size_t unfinished = 0;
-  };
-
-  /// Per-batch increments destined for ReadModel::metrics.
-  struct MetricsDelta {
-    std::vector<double> pilot_startups;
-    std::vector<double> unit_waits;
-    std::vector<double> unit_execs;
-    std::size_t done = 0;
-    std::size_t failed = 0;
-    std::size_t canceled = 0;
-    std::size_t requeues = 0;
-    double first_submit = -1.0;
-    double last_finish = -1.0;
-    bool any = false;
   };
 
   // ---- apply side. Everything below runs only on this shard's apply
@@ -225,7 +211,6 @@ class ServiceShard {
   /// read model (fixing the unfinished count) before flushing dirty sets.
   std::set<std::string> removed_pilots_;
   std::set<std::string> removed_units_;
-  MetricsDelta delta_;
   bool first_submit_recorded_ = false;
   /// Units adopted this batch; released from the facade's in-transit
   /// counter only *after* the publish that makes them visible here.
@@ -245,7 +230,7 @@ class ServiceShard {
 
   mutable check::Mutex snapshot_mutex_{check::LockRank::kService,
                                        "core::ServiceShard"};
-  std::shared_ptr<ReadModel> model_ PA_GUARDED_BY(snapshot_mutex_);
+  ReadModel model_ PA_GUARDED_BY(snapshot_mutex_);
 
   /// Declared last: destroyed first, joining the apply thread while the
   /// state it references is still alive.

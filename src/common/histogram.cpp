@@ -65,23 +65,37 @@ void LatencyHistogram::record_n(double value, std::uint64_t count) {
   sum_ += value * static_cast<double>(count);
 }
 
+double LatencyHistogram::value_at_rank(std::uint64_t rank) const {
+  // The extreme ranks are known exactly; an inner rank reads its bucket's
+  // midpoint, clamped to the observed extrema.
+  if (rank == 0) {
+    return min_;
+  }
+  if (rank + 1 >= count_) {
+    return max_;
+  }
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
+    if (seen > rank) {
+      return std::clamp(bucket_midpoint(static_cast<int>(i)), min_, max_);
+    }
+  }
+  return max_;
+}
+
 double LatencyHistogram::quantile(double q) const {
   PA_REQUIRE_ARG(q >= 0.0 && q <= 1.0, "quantile q out of range: " << q);
   if (count_ == 0) {
     return 0.0;
   }
-  const auto target = static_cast<std::uint64_t>(
-      q * static_cast<double>(count_ - 1));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) {
-      const double mid = bucket_midpoint(static_cast<int>(i));
-      // Clamp to observed extrema so tiny sample counts stay sane.
-      return std::clamp(mid, min_, max_);
-    }
-  }
-  return max_;
+  // Same order statistic as SampleSet::percentile: linear interpolation
+  // between the two ranks around q * (n - 1).
+  const double pos = q * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  const double v = value_at_rank(lo);
+  return frac > 0.0 ? v + frac * (value_at_rank(lo + 1) - v) : v;
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {

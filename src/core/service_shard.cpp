@@ -19,8 +19,7 @@ ServiceShard::ServiceShard(Runtime& runtime, int index,
       router_(router),
       shut_down_(shut_down),
       in_transit_units_(in_transit_units),
-      next_pilot_id_(std::move(next_pilot_id)),
-      model_(std::make_shared<ReadModel>()) {
+      next_pilot_id_(std::move(next_pilot_id)) {
   Ctrl::Options options;
   options.threaded = !runtime_.single_threaded();
   options.clock = [this]() { return runtime_.now(); };
@@ -40,8 +39,8 @@ void ServiceShard::set_peers(std::vector<ServiceShard*> peers) {
 bool ServiceShard::try_pilot_state(const std::string& pilot_id,
                                    PilotState* out) const {
   check::MutexLock lock(snapshot_mutex_);
-  const auto it = model_->pilot_states.find(pilot_id);
-  if (it == model_->pilot_states.end()) {
+  const auto it = model_.pilot_states.find(pilot_id);
+  if (it == model_.pilot_states.end()) {
     return false;
   }
   *out = it->second;
@@ -50,8 +49,8 @@ bool ServiceShard::try_pilot_state(const std::string& pilot_id,
 
 bool ServiceShard::try_unit(const std::string& unit_id, UnitSnap* out) const {
   check::MutexLock lock(snapshot_mutex_);
-  const auto it = model_->units.find(unit_id);
-  if (it == model_->units.end()) {
+  const auto it = model_.units.find(unit_id);
+  if (it == model_.units.end()) {
     return false;
   }
   *out = it->second;
@@ -60,24 +59,17 @@ bool ServiceShard::try_unit(const std::string& unit_id, UnitSnap* out) const {
 
 std::size_t ServiceShard::total_units() const {
   check::MutexLock lock(snapshot_mutex_);
-  return model_->units.size();
+  return model_.units.size();
 }
 
 std::size_t ServiceShard::unfinished_units() const {
   check::MutexLock lock(snapshot_mutex_);
-  return model_->unfinished;
+  return model_.unfinished;
 }
 
 void ServiceShard::merge_metrics(ServiceMetrics* out) const {
-  // Copy the pointer under the lock, the (large) metrics outside it. The
-  // extra reference makes the next publish clone-on-write instead of
-  // mutating the model this reader is still reading.
-  std::shared_ptr<const ReadModel> model;
-  {
-    check::MutexLock lock(snapshot_mutex_);
-    model = model_;
-  }
-  out->merge(model->metrics);
+  check::MutexLock lock(snapshot_mutex_);
+  out->merge(model_.metrics);
 }
 
 // ---------------------------------------------------------------------------
@@ -248,8 +240,11 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
     return;  // cancelled while the allocation came up
   }
   rec.active_time = runtime_.now();
-  delta_.pilot_startups.push_back(rec.active_time - rec.submit_time);
-  delta_.any = true;
+  const double startup = rec.active_time - rec.submit_time;
+  {
+    check::MutexLock lock(snapshot_mutex_);
+    model_.metrics.pilot_startup_times.record(startup);
+  }
   if (tracer_ != nullptr) {
     // Explicit runtime timestamps: simulated time under SimRuntime, wall
     // time under LocalRuntime, regardless of the tracer's own clock.
@@ -261,8 +256,9 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
   if (obs_metrics_ != nullptr) {
     obs_metrics_->counter("pcs.pilots_active").inc();
     obs_metrics_
-        ->histogram("pcs.pilot_startup", 1e-3, 30.0 * 24.0 * 3600.0)
-        .record(rec.active_time - rec.submit_time);
+        ->histogram("pcs.pilot_startup", kLatencyMinSeconds,
+                    kLatencyMaxSeconds)
+        .record(startup);
   }
   workload_.add_pilot(c.pilot_id, c.site, c.total_cores,
                       rec.description.priority,
@@ -320,8 +316,10 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
         workload_.requeue_unit_front(unit_id, unit.description)) {
       // Recovery: back to the queue; the unit re-runs on another pilot.
       unit.pilot_id.clear();
-      ++delta_.requeues;
-      delta_.any = true;
+      {
+        check::MutexLock lock(snapshot_mutex_);
+        ++model_.metrics.requeues;
+      }
       if (obs_metrics_ != nullptr) {
         obs_metrics_->counter("pcs.unit_requeues").inc();
       }
@@ -407,8 +405,8 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
   }
   if (!first_submit_recorded_) {
     first_submit_recorded_ = true;
-    delta_.first_submit = rec.times.submitted;
-    delta_.any = true;
+    check::MutexLock lock(snapshot_mutex_);
+    model_.metrics.first_submit_time = rec.times.submitted;
   }
   auto [uit, inserted] = units_.emplace(unit_id, std::move(rec));
   PA_CHECK(inserted);
@@ -554,11 +552,27 @@ void ServiceShard::apply(cmd::CmdUnitDone& c) {
 void ServiceShard::finalize_unit_apply(UnitRecord& unit,
                                        const std::string& unit_id,
                                        UnitState final_state) {
+  PA_CHECK_MSG(is_final(final_state),
+               "finalize with non-final state for " << unit_id);
   unit.times.finished = runtime_.now();
   unit.sm.try_transition(final_state);
   dirty_units_.insert(unit_id);
-  delta_.last_finish = unit.times.finished;
-  delta_.any = true;
+  const bool done = final_state == UnitState::kDone;
+  const bool failed = final_state == UnitState::kFailed;
+  {
+    check::MutexLock lock(snapshot_mutex_);
+    ServiceMetrics& m = model_.metrics;
+    m.last_finish_time = unit.times.finished;
+    if (done) {
+      ++m.units_done;
+      m.unit_wait_times.record(unit.times.wait_time());
+      m.unit_exec_times.record(unit.times.exec_time());
+    } else if (failed) {
+      ++m.units_failed;
+    } else {
+      ++m.units_canceled;
+    }
+  }
   if (unit.router_pinned) {
     router_.forget(unit_id);
     unit.router_pinned = false;
@@ -575,33 +589,21 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
     tracer_->record_span("unit.exec", unit_id, unit.times.started,
                          unit.times.finished);
   }
-  switch (final_state) {
-    case UnitState::kDone:
-      ++delta_.done;
-      delta_.unit_waits.push_back(unit.times.wait_time());
-      delta_.unit_execs.push_back(unit.times.exec_time());
-      if (obs_metrics_ != nullptr) {
-        obs_metrics_->counter("pcs.units_done").inc();
-        obs_metrics_->histogram("pcs.unit_wait", 1e-3, 30.0 * 24.0 * 3600.0)
-            .record(unit.times.wait_time());
-        obs_metrics_->histogram("pcs.unit_exec", 1e-3, 30.0 * 24.0 * 3600.0)
-            .record(unit.times.exec_time());
-      }
-      break;
-    case UnitState::kFailed:
-      ++delta_.failed;
-      if (obs_metrics_ != nullptr) {
-        obs_metrics_->counter("pcs.units_failed").inc();
-      }
-      break;
-    case UnitState::kCanceled:
-      ++delta_.canceled;
-      if (obs_metrics_ != nullptr) {
-        obs_metrics_->counter("pcs.units_canceled").inc();
-      }
-      break;
-    default:
-      PA_CHECK_MSG(false, "finalize with non-final state for " << unit_id);
+  if (obs_metrics_ == nullptr) {
+    return;
+  }
+  if (done) {
+    obs_metrics_->counter("pcs.units_done").inc();
+    obs_metrics_
+        ->histogram("pcs.unit_wait", kLatencyMinSeconds, kLatencyMaxSeconds)
+        .record(unit.times.wait_time());
+    obs_metrics_
+        ->histogram("pcs.unit_exec", kLatencyMinSeconds, kLatencyMaxSeconds)
+        .record(unit.times.exec_time());
+  } else if (failed) {
+    obs_metrics_->counter("pcs.units_failed").inc();
+  } else {
+    obs_metrics_->counter("pcs.units_canceled").inc();
   }
 }
 
@@ -894,17 +896,12 @@ void ServiceShard::on_batch_end() {
 }
 
 void ServiceShard::publish_snapshot() {
-  if (dirty_pilots_.empty() && dirty_units_.empty() && !delta_.any &&
+  if (dirty_pilots_.empty() && dirty_units_.empty() &&
       removed_pilots_.empty() && removed_units_.empty()) {
-    return;  // idle tick: nothing changed, readers keep the old model
+    return;  // idle tick: nothing changed
   }
   check::MutexLock lock(snapshot_mutex_);
-  if (model_.use_count() > 1) {
-    // A reader still holds the published model: clone-on-write so it
-    // keeps a consistent view, then flush into the fresh copy.
-    model_ = std::make_shared<ReadModel>(*model_);
-  }
-  ReadModel& m = *model_;
+  ReadModel& m = model_;
   // Removals first (cross-shard moves): the authoritative records are
   // gone from this shard, so drop their read-model entries and stop
   // counting the non-final ones here (the in-transit counter carries
@@ -939,30 +936,10 @@ void ServiceShard::publish_snapshot() {
       --m.unfinished;
     }
   }
-  for (const double v : delta_.pilot_startups) {
-    m.metrics.pilot_startup_times.add(v);
-  }
-  for (const double v : delta_.unit_waits) {
-    m.metrics.unit_wait_times.add(v);
-  }
-  for (const double v : delta_.unit_execs) {
-    m.metrics.unit_exec_times.add(v);
-  }
-  m.metrics.units_done += delta_.done;
-  m.metrics.units_failed += delta_.failed;
-  m.metrics.units_canceled += delta_.canceled;
-  m.metrics.requeues += delta_.requeues;
-  if (delta_.first_submit >= 0.0 && m.metrics.first_submit_time < 0.0) {
-    m.metrics.first_submit_time = delta_.first_submit;
-  }
-  if (delta_.last_finish >= 0.0) {
-    m.metrics.last_finish_time = delta_.last_finish;
-  }
   removed_pilots_.clear();
   removed_units_.clear();
   dirty_pilots_.clear();
   dirty_units_.clear();
-  delta_ = MetricsDelta{};
 }
 
 }  // namespace pa::core

@@ -199,15 +199,9 @@ bool WorkloadManager::requeue_unit_front(
   int& count = requeue_counts_[unit_id];
   if (max_requeues_ >= 0 && count >= max_requeues_) {
     requeue_counts_.erase(unit_id);  // caller fails the unit; forget it
-    if (metrics_ != nullptr) {
-      metrics_->counter("wm.requeue_limit_hits").inc();
-    }
     return false;
   }
   ++count;
-  if (metrics_ != nullptr) {
-    metrics_->counter("wm.unit_requeues").inc();
-  }
   insert_queued(make_queued(unit_id, description), /*front=*/true);
   return true;
 }

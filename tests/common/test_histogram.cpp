@@ -4,6 +4,7 @@
 
 #include "pa/common/error.h"
 #include "pa/common/rng.h"
+#include "pa/common/stats.h"
 
 namespace pa {
 namespace {
@@ -50,6 +51,21 @@ TEST(LatencyHistogram, QuantileWithinRelativeError) {
   const double exact_p99 = values[static_cast<std::size_t>(values.size() * 0.99)];
   EXPECT_NEAR(h.p50() / exact_p50, 1.0, 0.05);
   EXPECT_NEAR(h.p99() / exact_p99, 1.0, 0.05);
+}
+
+TEST(LatencyHistogram, QuantileInterpolatesBetweenRanks) {
+  // The SampleSet::percentile order statistic: position q * (n - 1),
+  // interpolated between the ranks on either side.
+  LatencyHistogram h;
+  h.record(1.0);
+  h.record(3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(h.p50(), 2.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
+  SampleSet exact;
+  exact.add(1.0);
+  exact.add(3.0);
+  EXPECT_DOUBLE_EQ(h.p99(), exact.percentile(99.0));
 }
 
 TEST(LatencyHistogram, ClampsOutOfRange) {

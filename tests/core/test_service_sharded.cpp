@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pa/common/error.h"
@@ -244,6 +245,56 @@ TEST_F(ShardedLocalTest, BurstAcrossShardsAllExecuteExactlyOnce) {
   service_->wait_all_units(60.0);
   EXPECT_EQ(executed.load(), 200);
   EXPECT_EQ(service_->metrics().units_done, 200u);
+}
+
+TEST_F(ShardedLocalTest, MetricsReaderRacesApplyThreads) {
+  // metrics() merges each shard's fixed-size metrics under its snapshot
+  // mutex while the apply threads record into them (the TSan target for
+  // the read path). Each shard's done count and wait histogram move
+  // together under that mutex, so every merged read agrees with itself.
+  for (int i = 0; i < 4; ++i) {
+    service_->submit_pilot(pilot_desc(2));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::atomic<int> torn{0};
+  std::thread reader([&]() {
+    std::size_t last_done = 0;
+    while (!done.load()) {
+      const ServiceMetrics m = service_->metrics();
+      if (m.unit_wait_times.count() != m.units_done ||
+          m.unit_exec_times.count() != m.units_done ||
+          m.units_done < last_done) {
+        torn.fetch_add(1);
+      }
+      last_done = m.units_done;
+      reads.fetch_add(1);
+    }
+  });
+  constexpr int kUnits = 2000;
+  std::vector<ComputeUnitDescription> batch(kUnits);
+  for (auto& d : batch) {
+    d.work = []() {};
+  }
+  try {
+    service_->submit_units(batch);
+    service_->wait_all_units(120.0);
+  } catch (...) {
+    done.store(true);
+    reader.join();
+    throw;
+  }
+  done.store(true);
+  reader.join();
+
+  const ServiceMetrics m = service_->metrics();
+  EXPECT_EQ(m.units_done, static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(m.unit_wait_times.count(), static_cast<std::uint64_t>(kUnits));
+  EXPECT_EQ(m.unit_exec_times.count(), static_cast<std::uint64_t>(kUnits));
+  EXPECT_EQ(m.pilot_startup_times.count(), 4u);
+  EXPECT_EQ(m.units_failed + m.units_canceled, 0u);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
 }
 
 TEST_F(ShardedLocalTest, MovePilotMidBurstKeepsExactlyOnceAccounting) {

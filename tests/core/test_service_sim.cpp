@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "pa/common/error.h"
+#include "pa/common/histogram.h"
+#include "pa/common/rng.h"
+#include "pa/common/stats.h"
 #include "pa/core/pilot_compute_service.h"
 #include "pa/infra/batch_cluster.h"
 #include "pa/infra/htc_pool.h"
@@ -82,6 +87,39 @@ TEST_F(SimServiceTest, ManyUnitsRespectCapacityAndFinish) {
   // 64 units over 16 slots = 4 waves of ~10 s: makespan ~40 s + overheads.
   EXPECT_GT(metrics.makespan(), 40.0);
   EXPECT_LT(metrics.makespan(), 50.0);
+}
+
+TEST_F(SimServiceTest, MetricsMatchPerUnitTimes) {
+  // The fixed-size histograms keep count, mean, min and max exact and
+  // quantiles within a bucket's half-width of the exact order statistic.
+  service_->submit_pilot(pilot_desc(2));  // 16 cores
+  Rng rng(11);
+  std::vector<ComputeUnit> units;
+  for (int i = 0; i < 400; ++i) {
+    units.push_back(service_->submit_unit(unit_desc(rng.uniform(5.0, 60.0))));
+  }
+  service_->wait_all_units();
+  SampleSet waits;
+  SampleSet execs;
+  for (const auto& unit : units) {
+    const UnitTimes t = unit.times();
+    waits.add(t.wait_time());
+    execs.add(t.exec_time());
+  }
+  const auto metrics = service_->metrics();
+  EXPECT_EQ(metrics.units_done, units.size());
+  const std::pair<const LatencyHistogram*, const SampleSet*> series[] = {
+      {&metrics.unit_wait_times, &waits}, {&metrics.unit_exec_times, &execs}};
+  for (const auto& [hist, exact] : series) {
+    ASSERT_EQ(hist->count(), exact->count());
+    EXPECT_NEAR(hist->mean(), exact->mean(), 1e-9 * exact->mean());
+    EXPECT_DOUBLE_EQ(hist->min(), exact->min());
+    EXPECT_DOUBLE_EQ(hist->max(), exact->max());
+    EXPECT_NEAR(hist->p50(), exact->percentile(50.0),
+                0.03 * exact->percentile(50.0));
+    EXPECT_NEAR(hist->p99(), exact->percentile(99.0),
+                0.03 * exact->percentile(99.0));
+  }
 }
 
 TEST_F(SimServiceTest, LateBindingUnitsBeforePilot) {

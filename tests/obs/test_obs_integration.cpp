@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "pa/core/pilot_compute_service.h"
 #include "pa/infra/batch_cluster.h"
@@ -197,6 +198,38 @@ TEST(ObsLocalTest, LocalRuntimeSpansUseWallClock) {
   EXPECT_LT(execs[0].end - execs[0].start, 60.0);
   EXPECT_LE(execs[0].end, pa::wall_seconds());
   EXPECT_EQ(registry.counter("pcs.units_done").value(), 1u);
+}
+
+// Wall-clock waits on a local pilot are sub-millisecond to milliseconds.
+// The registry's pcs.unit_wait and the service's own wait histogram share
+// one bounds constant down to 1 µs, so both resolve those waits alike.
+TEST(ObsLocalTest, RegistryWaitHistogramMatchesServiceMetrics) {
+  MetricsRegistry registry;
+  rt::LocalRuntime runtime;
+  core::PilotComputeService service(runtime, "backfill");
+  service.attach_observability(nullptr, &registry);
+
+  core::PilotDescription pd;
+  pd.resource_url = "local://test";
+  pd.nodes = 2;
+  pd.walltime = 1e9;
+  service.submit_pilot(pd).wait_active(10.0);
+  std::vector<core::ComputeUnitDescription> batch(256);
+  for (auto& d : batch) {
+    d.work = []() {};
+  }
+  service.submit_units(batch);
+  service.wait_all_units(60.0);
+
+  const LatencyHistogram reg = registry.histogram("pcs.unit_wait").snapshot();
+  const LatencyHistogram own = service.metrics().unit_wait_times;
+  service.shutdown();
+  ASSERT_EQ(own.count(), 256u);
+  EXPECT_EQ(reg.count(), own.count());
+  EXPECT_EQ(reg.min(), own.min());
+  EXPECT_EQ(reg.max(), own.max());
+  EXPECT_EQ(reg.p50(), own.p50());
+  EXPECT_EQ(reg.p99(), own.p99());
 }
 
 }  // namespace
