@@ -5,8 +5,9 @@
 ///
 /// The event-driven control plane (control_plane.h) admits exactly these
 /// commands. Producers — the facade's public mutators, the three runtimes'
-/// callbacks, the stage-in barrier — construct one and post it; only the
-/// apply context executes middleware logic. Grouping:
+/// callbacks, the stage-in barrier, peer shards handing units over —
+/// construct one and post it; only the apply context executes middleware
+/// logic. Grouping:
 ///
 ///   lifecycle   CmdSubmitPilot, CmdSubmitUnit, CmdPilotActive,
 ///               CmdPilotTerminated, CmdUnitDone, CmdStageInDone
@@ -14,10 +15,9 @@
 ///   config      CmdAttachData, CmdAttachObservability, CmdAttachJournal,
 ///               CmdSetRequeuePolicy, CmdSetRestartPolicy,
 ///               CmdSetMaxRequeues, CmdObserveUnits, CmdAttachAdmission
-///   sharding    CmdForward (cross-shard routing envelope), CmdMovePilot,
-///               CmdInstallPilot
+///   sharding    CmdRequestUnits, CmdAdoptUnits (the PENDING-unit hand-over)
 ///
-/// Pilot cancellation has no command: the facade forwards it to the
+/// Pilot cancellation has no command: the facade passes it to the
 /// runtime (which may need to synchronize with its own workers) and the
 /// runtime's on_terminated callback posts CmdPilotTerminated; a trailing
 /// CmdFence then flushes any synchronously-fired termination, because the
@@ -142,34 +142,32 @@ struct CmdAttachAdmission {
   bool fair_share = false;
 };
 
-/// Cross-shard routing envelope. A shard that receives a command for an
-/// entity it does not own wraps it in a CmdForward and posts it to the
-/// owning shard's queue (a `shared_ptr` to the wrapper defined below the
-/// variant makes the recursion legal). `hops` caps forwarding loops: a
-/// command bouncing between shards chasing a moving entity gives up after
-/// `kMaxForwardHops` and is dropped with a warning instead of livelocking
-/// the appliers.
-struct CmdForward {
-  int target_shard = 0;
-  int hops = 0;
-  std::shared_ptr<struct ForwardedCommand> inner;
+/// Hand-over request: an idle shard (empty queue, free cores on an ACTIVE
+/// pilot) asks a peer with queued units for work. The peer answers with a
+/// CmdAdoptUnits, empty when nothing it holds fits `free_cores`.
+struct CmdRequestUnits {
+  int thief_shard = 0;
+  int free_cores = 0;
 };
 
-inline constexpr int kMaxForwardHops = 8;
-
-/// Fence-protocol step 1: detach `pilot_id` (and its bound units) from the
-/// shard that owns it and ship the state to `target_shard`. Posted by the
-/// facade with post_and_wait; the source shard emits CmdInstallPilot.
-struct CmdMovePilot {
-  std::string pilot_id;
-  int target_shard = 0;
+/// One queued unit handed between shards. Only PENDING, unbound units
+/// move, so the record is the unit's whole apply-side state plus the
+/// requeue budget it already consumed (a poison unit cannot reset its
+/// bound by changing shard).
+struct HandedOverUnit {
+  std::string unit_id;
+  ComputeUnitDescription description;
+  std::string tenant;
+  int attempts = 0;
+  UnitTimes times;
+  int requeues = 0;
+  int handovers = 0;  ///< shard changes including this one
 };
 
-/// Fence-protocol step 2: adopt a detached pilot (and its in-flight units)
-/// on the target shard. The payload is opaque to the taxonomy — it carries
-/// shard-internal records (see service_shard.h).
-struct CmdInstallPilot {
-  std::shared_ptr<struct PilotTransfer> transfer;
+/// Hand-over: `units` leave a peer shard and join the receiving shard's
+/// late-binding queue.
+struct CmdAdoptUnits {
+  std::vector<HandedOverUnit> units;
 };
 
 /// CmdFence first: the variant (and thus a queue envelope) is cheaply
@@ -180,14 +178,7 @@ using Command =
                  CmdCancelUnit, CmdShutdown, CmdAttachData,
                  CmdAttachObservability, CmdAttachJournal,
                  CmdSetRequeuePolicy, CmdSetRestartPolicy, CmdSetMaxRequeues,
-                 CmdObserveUnits, CmdAttachAdmission, CmdForward, CmdMovePilot,
-                 CmdInstallPilot>;
-
-/// The forwarded payload: any command from the same taxonomy, so a
-/// forwarded command round-trips through exactly the variant the direct
-/// path uses (the commands pass checks this).
-struct ForwardedCommand {
-  Command command;
-};
+                 CmdObserveUnits, CmdAttachAdmission, CmdRequestUnits,
+                 CmdAdoptUnits>;
 
 }  // namespace pa::core::cmd

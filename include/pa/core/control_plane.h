@@ -160,12 +160,12 @@ class ControlPlane {
   }
 
   /// Posts from a *peer shard's apply thread*, bypassing backpressure: a
-  /// full plane must never stall a peer applier (two planes forwarding to
-  /// each other under load would deadlock on each other's bounds), and a
-  /// forwarded command was already admitted once through its origin
-  /// shard's bound, so the system-wide in-flight total stays bounded.
-  /// Inline mode drains immediately on the calling thread — a cross-shard
-  /// forward in a single_threaded() runtime is just a nested drain.
+  /// full plane must never stall a peer applier (two planes handing units
+  /// to each other under load would deadlock on each other's bounds). The
+  /// traffic is bounded anyway: at most one hand-over (or request for
+  /// one) is in flight per receiving shard (service_shard.h). Inline mode
+  /// drains immediately on the calling thread — a hand-over in a
+  /// single_threaded() runtime is just a nested drain.
   bool post_forward(Command command) {
     Envelope env{std::move(command), now(), nullptr};
     if (stopped_.load(std::memory_order_acquire)) {

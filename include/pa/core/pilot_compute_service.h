@@ -16,9 +16,13 @@
 ///    shard owns its own bounded MPSC queue, apply context, journal
 ///    stream, and read snapshot. One shard (the default) reproduces the
 ///    classic single-apply-thread service exactly.
+///  * **Late binding across shards.** Pilots never change shard. A
+///    shard with idle cores takes PENDING units from a peer's queue (a
+///    hand-over, service_shard.h), so a unit still runs on whichever
+///    pilot has capacity, even with fewer pilots than shards.
 ///  * **Writes.** Every mutation is a command posted to the owning
-///    shard's queue. Cross-shard traffic (stale callbacks after a pilot
-///    move) travels as forwarded commands on the same queues.
+///    shard's queue; the router's owner table names the shard of a
+///    handed-over unit.
 ///  * **Reads.** Accessors read each shard's read model under that
 ///    shard's snapshot mutex (LockRank::kService) and merge the results.
 ///    The mutex guards the reads themselves: a lookup copies one entry,
@@ -33,8 +37,8 @@
 ///    pass across tenants.
 ///  * **Determinism.** On a `Runtime::single_threaded()` substrate
 ///    (SimRuntime) every queue drains inline on the posting thread, so
-///    simulations stay bit-identical run to run — cross-shard forwards
-///    become nested inline drains.
+///    simulations stay bit-identical run to run — a hand-over becomes a
+///    nested inline drain of the receiving shard.
 
 #include <atomic>
 #include <cstdint>
@@ -144,8 +148,8 @@ class PilotComputeService {
 
   /// Connects one journal sink per shard (size must equal
   /// Options::shards; entries may be null). Shard k journals exactly the
-  /// entities it owns; a pilot moved between shards is re-journaled on
-  /// the target as an adoption chain, and
+  /// entities it owns; a unit handed over between shards is journaled on
+  /// the receiving shard as an adoption chain, and
   /// pa::journal::recover_sharded merges the per-shard streams.
   void attach_journal_shards(const std::vector<JournalSink*>& journals);
 
@@ -215,15 +219,6 @@ class PilotComputeService {
   UnitState wait_unit(const std::string& unit_id,
                       double timeout_seconds = 3600.0);
 
-  /// Rebalancing: migrates a pilot (and its bound, in-flight units) to
-  /// `target_shard` with the fence protocol — when this returns, the
-  /// target owns the pilot and has published it. Unit completions in
-  /// flight during the move are forwarded and stay exactly-once (attempt
-  /// tags are carried). No-op when the pilot already lives there or is
-  /// final. Concurrent moves of the *same* pilot are not linearizable;
-  /// serialize them in the caller.
-  void move_pilot_to_shard(const std::string& pilot_id, int target_shard);
-
   /// Which shard currently owns `id` (routing view; for tests/tools).
   int shard_of(const std::string& id) const {
     return router_.shard_for_id(id);
@@ -268,9 +263,9 @@ class PilotComputeService {
   /// restart policy. The apply-side check is authoritative.
   std::atomic<bool> shut_down_{false};
 
-  /// Units currently between shards (detached from the source's read
-  /// model, not yet published by the target). unfinished_units() adds
-  /// this so wait_all_units can never observe a transient zero mid-move.
+  /// Units currently between shards (gone from the victim's read model,
+  /// not yet published by the thief). unfinished_units() adds this so
+  /// wait_all_units can never observe a transient zero mid-hand-over.
   std::atomic<std::int64_t> in_transit_units_{0};
 
   /// Atomic: ids are minted at the call site, before posting.

@@ -9,27 +9,34 @@
 /// workload manager, journal sink, and lock-guarded read model —
 /// so shards scale the apply path without sharing a lock.
 ///
-/// Cross-shard traffic travels as *forwarded commands* on the very same
-/// queues: a shard that receives a command for an entity it does not own
-/// consults the ShardRouter and re-posts the command, wrapped in
-/// `cmd::CmdForward`, onto the owner's queue (`ControlPlane::post_forward`
-/// bypasses backpressure so two full planes can never deadlock forwarding
-/// to each other). Entity placement is computable (trailing id ordinal %
-/// N), so the router only stores overrides — pilots moved between shards
-/// and the units that traveled with them.
-///
-/// Moving a pilot (CmdMovePilot -> CmdInstallPilot) is a fence-based
-/// protocol driven by the facade; the transfer payload carries *raw*
-/// record state, never live state machines (machines hold observers bound
-/// to the source shard), and the target rebuilds machines at the moved
-/// state and re-journals an adoption chain into its own WAL. Stale
-/// runtime/staging callbacks still post to the source shard's queue after
-/// a move; the source finds the record gone, asks the router, and
-/// forwards — the attempt tags that already guard against superseded
-/// completions make delivery exactly-once regardless of the extra hop.
+/// Late binding across shards. Pilots never change shard, and a unit
+/// changes shard only while it is PENDING and unbound: an idle shard (no
+/// queued units, free cores on an ACTIVE pilot) takes queued units from
+/// a peer in one `cmd::CmdAdoptUnits` *hand-over*. Every shard publishes
+/// two relaxed atomics at batch end — its queued-unit count and the
+/// largest free-core count on any one of its pilots — and the hand-over
+/// runs when
+///   1. a shard still has queued units after its schedule pass and a
+///      peer advertises free cores with an empty queue (the victim
+///      pushes: SimRuntime has no timer tick, so the idle peer may never
+///      get another batch), or
+///   2. an idle shard asks a peer with queued units with a
+///      `cmd::CmdRequestUnits` (capacity appeared after the units
+///      queued, e.g. a pilot went ACTIVE).
+/// Each shard has at most one incoming hand-over (or request) in flight,
+/// so the `ControlPlane::post_forward` traffic — which bypasses
+/// backpressure, because a peer apply thread must never block on another
+/// shard's bound — stays bounded. The receiving shard journals an
+/// adoption chain into its own stream; the victim repins the unit in the
+/// router after posting, so a routed write that finds the unit gone
+/// re-routes to a queue that already holds the hand-over. Dispatched
+/// units never move, so every runtime and stage-in callback lands on the
+/// shard that holds its unit or pilot; one for a unit the shard no longer
+/// holds comes from a superseded attempt and is dropped.
 ///
 /// Only the sharding layer may name this class or call post_forward
 /// (tools/lint.py rule 5b); everything else goes through the facade.
+/// A single-shard service never runs any of the hand-over code.
 
 #include <atomic>
 #include <cstdint>
@@ -70,8 +77,9 @@ class ServiceShard {
   };
 
   /// `shut_down` and `in_transit_units` are facade-owned: the former
-  /// suppresses restarts service-wide, the latter keeps the aggregated
-  /// unfinished count from dipping while units are between shards.
+  /// suppresses restarts and hand-overs service-wide, the latter keeps
+  /// the aggregated unfinished count from dipping while units are between
+  /// shards.
   /// `next_pilot_id` mints from the facade's atomic generator (restarts
   /// allocate pilot ids on shard apply threads).
   ServiceShard(Runtime& runtime, int index,
@@ -83,9 +91,9 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Wires the shard fan-out (including this shard at its own index).
-  /// Must be called before any command is posted.
-  void set_peers(std::vector<ServiceShard*> peers);
+  /// Wires the shard fan-out (including this shard at its own index)
+  /// and starts the apply context. Call once, before posting anything.
+  void start(std::vector<ServiceShard*> peers);
 
   Ctrl& ctrl() { return *ctrl_; }
   int index() const { return index_; }
@@ -109,9 +117,8 @@ class ServiceShard {
     int total_cores = 0;
     std::string site;
     int restarts_used = 0;  ///< restarts consumed by this lineage
-    /// True when the router holds an override for this pilot (created on
-    /// or moved to a non-default shard); lets finalize skip the router
-    /// lock on the common un-pinned path.
+    /// True when the router holds an owner-table entry for this pilot (a
+    /// restart minted an id whose default is another shard).
     bool router_pinned = false;
   };
 
@@ -123,7 +130,7 @@ class ServiceShard {
     std::string pilot_id;  ///< current binding, empty while queued
     bool cancel_requested = false;
     int attempts = 0;
-    bool router_pinned = false;
+    int handovers = 0;  ///< shard changes so far (orders router pins)
   };
 
   /// What readers see (pilot_compute_service.h "Reads"). The apply
@@ -155,9 +162,8 @@ class ServiceShard {
   void apply(cmd::CmdSetMaxRequeues& c);
   void apply(cmd::CmdObserveUnits& c);
   void apply(cmd::CmdAttachAdmission& c);
-  void apply(cmd::CmdForward& c);
-  void apply(cmd::CmdMovePilot& c);
-  void apply(cmd::CmdInstallPilot& c);
+  void apply(cmd::CmdRequestUnits& c);
+  void apply(cmd::CmdAdoptUnits& c);
 
   void on_batch_end();
   void run_schedule_cycle();
@@ -172,23 +178,36 @@ class ServiceShard {
   void finalize_unit_apply(UnitRecord& unit, const std::string& unit_id,
                            UnitState final_state);
 
-  /// Wraps `command` in a CmdForward envelope and posts it onto
-  /// `target_shard`'s queue, propagating this apply's hop depth. Drops
-  /// (with a warning) past kMaxForwardHops.
-  void forward_to(int target_shard, cmd::Command command);
-  /// Routes `id`; forwards `command` and returns true when another shard
-  /// owns it. Returns false when this shard is (or defaults to) the owner.
-  bool forward_if_remote(const std::string& id, cmd::Command command);
+  /// Hand-over, victim side: removes queued units that fit one pilot
+  /// with `free_cores` free and counts them in transit.
+  cmd::CmdAdoptUnits take_for_hand_over(int free_cores);
+  /// Posts `adopt` to `thief` (whose hand-over slot the caller holds),
+  /// then repins its units to the thief.
+  void post_adopt(ServiceShard& thief, cmd::CmdAdoptUnits adopt);
+  /// Batch end of a multi-shard service: republish the two advertised
+  /// figures, then push queued units to an idle peer or ask a busy one.
+  void balance_with_peers();
 
   PilotRecord& pilot_record(const std::string& pilot_id);
   UnitRecord& unit_record(const std::string& unit_id);
   UnitStateMachine::Observer make_unit_observer(const std::string& unit_id);
-  /// Journals the legal transition chain that brings a freshly adopted
-  /// record from NEW to its moved state in this shard's WAL.
-  void journal_adopted_pilot(const std::string& pilot_id,
-                             const PilotRecord& rec);
-  void journal_adopted_unit(const std::string& unit_id,
-                            const UnitRecord& rec);
+
+  /// The instruments of the fixed-name pcs.* series; all null while no
+  /// registry is attached.
+  struct Instruments {
+    obs::Counter* pilots_submitted = nullptr;
+    obs::Counter* pilots_active = nullptr;
+    obs::Histogram* pilot_startup = nullptr;
+    obs::Counter* units_submitted = nullptr;
+    obs::Counter* units_done = nullptr;
+    obs::Counter* units_failed = nullptr;
+    obs::Counter* units_canceled = nullptr;
+    obs::Counter* unit_requeues = nullptr;
+    obs::Counter* units_failed_requeue_limit = nullptr;
+    obs::Counter* units_handed_over = nullptr;
+    obs::Histogram* unit_wait = nullptr;
+    obs::Histogram* unit_exec = nullptr;
+  };
 
   Runtime& runtime_;
   const int index_;
@@ -198,6 +217,7 @@ class ServiceShard {
   DataServiceInterface* data_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* obs_metrics_ = nullptr;
+  Instruments instruments_;
   JournalSink* journal_ = nullptr;
   AdmissionInterface* admission_ = nullptr;
   bool requeue_on_pilot_failure_ = true;
@@ -207,17 +227,21 @@ class ServiceShard {
   std::map<std::string, UnitRecord> units_;
   std::set<std::string> dirty_pilots_;
   std::set<std::string> dirty_units_;
-  /// Entities detached by a move this batch: publish erases them from the
-  /// read model (fixing the unfinished count) before flushing dirty sets.
-  std::set<std::string> removed_pilots_;
+  /// Units handed away this batch: publish erases them from the read
+  /// model (fixing the unfinished count) before flushing dirty sets.
   std::set<std::string> removed_units_;
+  /// Units this shard's journal stream already holds that were handed
+  /// away: one coming back resumes its existing record instead of being
+  /// journaled as a fresh submission.
+  std::set<std::string> departed_units_;
   bool first_submit_recorded_ = false;
   /// Units adopted this batch; released from the facade's in-transit
   /// counter only *after* the publish that makes them visible here.
   std::int64_t pending_transit_release_ = 0;
-  /// Hop depth of the command currently being applied (0 for direct
-  /// commands; CmdForward saves/sets/restores it around the inner apply).
-  int forward_hops_ = 0;
+  /// Free-core count of this shard's last request a peer answered with
+  /// nothing: it asks again only once more cores are free (0 = no such
+  /// request outstanding).
+  int declined_free_cores_ = 0;
   /// Local shutdown idempotence: the shared flag alone would make every
   /// shard after the first return an empty cancel list.
   bool local_shut_down_ = false;
@@ -227,6 +251,14 @@ class ServiceShard {
   std::atomic<std::int64_t>& in_transit_units_;
   std::function<std::string()> next_pilot_id_;
   std::vector<ServiceShard*> peers_;
+
+  // ---- hand-over adverts, written by this shard's batch end and read
+  // by peers (relaxed: a stale figure costs one empty hand-over) ----
+  std::atomic<std::size_t> advert_queued_{0};
+  std::atomic<int> advert_free_cores_{0};
+  /// Set while a hand-over to this shard (or its request for one) is in
+  /// flight; whoever sets it owes exactly one CmdAdoptUnits here.
+  std::atomic<bool> adopt_pending_{false};
 
   mutable check::Mutex snapshot_mutex_{check::LockRank::kService,
                                        "core::ServiceShard"};
@@ -238,35 +270,3 @@ class ServiceShard {
 };
 
 }  // namespace pa::core
-
-namespace pa::core::cmd {
-
-/// Raw state of a pilot (and its bound, non-final units) in flight
-/// between shards. Deliberately machine-free: state machines carry
-/// observers bound to the source shard's `this`, so the target rebuilds
-/// fresh machines at the carried states and re-observes.
-struct PilotTransfer {
-  std::string pilot_id;
-  PilotDescription description;
-  PilotState state = PilotState::kNew;
-  double submit_time = -1.0;
-  double active_time = -1.0;
-  int total_cores = 0;
-  std::string site;
-  int restarts_used = 0;
-
-  struct Unit {
-    std::string unit_id;
-    ComputeUnitDescription description;
-    UnitState state = UnitState::kNew;
-    UnitTimes times;
-    bool cancel_requested = false;
-    int attempts = 0;
-    int cores = 1;     ///< cores reserved on the pilot
-    int requeues = 0;  ///< consumed requeue budget (survives the move)
-  };
-  std::vector<Unit> units;
-  int source_shard = 0;
-};
-
-}  // namespace pa::core::cmd

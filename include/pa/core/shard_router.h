@@ -1,20 +1,21 @@
 #pragma once
 /// \file shard_router.h
-/// \brief Maps pilots, units, and tenants to control-plane shards.
+/// \brief Maps pilots and units to control-plane shards.
 ///
 /// Routing is computable on the hot path: ids are sequential
 /// ("pilot-7", "unit-123"), so the default shard is the trailing ordinal
 /// modulo the shard count — round-robin placement with no shared state.
-/// The router stores only *overrides*: entities pinned away from their
-/// default shard (a unit bound to a pilot on another shard, a pilot moved
-/// between shards, a tenant-pinned submission). Overrides live in a small
-/// map under `kShardRouter` and are consulted only off the fast path —
-/// when a shard receives a command for an entity it does not own.
+/// An id without a trailing ordinal routes to shard 0 (no service mints
+/// one; reads scan every shard anyway).
 ///
-/// Tenants hash to shards with FNV-1a so a tenant's pilots land together
-/// by default (admission state and fair-share views stay shard-local).
+/// The router also keeps the *owner table*: the few entities that live
+/// away from their default shard. Pilots never change shard, but a
+/// restart mints a fresh id on the failed pilot's shard; units change
+/// shard only by a PENDING hand-over (service_shard.h). The table is a
+/// small map under `kShardRouter`, consulted by the facade's routed
+/// writes. Each entry carries a version (a unit's hand-over count), so
+/// pins that land out of order still name the latest owner.
 
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 
@@ -29,36 +30,32 @@ class ShardRouter {
 
   int shards() const { return shards_; }
 
-  /// Shard an id routes to: the pinned override if one exists, else the
-  /// computable default.
+  /// Shard an id routes to: its owner-table entry if one exists, else
+  /// the computable default.
   int shard_for_id(const std::string& id) const;
 
-  /// Computable default: trailing "-N" ordinal % shards, falling back to
-  /// a hash of the whole id when the ordinal is absent.
+  /// Computable default: trailing "-N" ordinal % shards (0 without one).
   int default_shard(const std::string& id) const;
 
-  /// Stable tenant placement (FNV-1a of the tenant name % shards).
-  int shard_for_tenant(const std::string& tenant) const;
+  /// Records `shard` as the owner of `id`, unless the table already
+  /// holds a newer `version` for it.
+  void pin(const std::string& id, int shard, int version = 0);
 
-  /// Pins `id` to `shard` (override). Used when an entity is created on
-  /// or moved to a non-default shard so stale callbacks and cross-shard
-  /// lookups can find the owner.
-  void pin(const std::string& id, int shard);
-
-  /// Drops the override for `id` (entity reached a final state).
+  /// Drops the owner-table entry for `id` (entity reached a final state).
   void forget(const std::string& id);
-
-  /// Returns the pinned shard for `id`, or -1 when not pinned.
-  int pinned(const std::string& id) const;
 
  private:
   static int trailing_ordinal(const std::string& id);
-  static std::uint64_t fnv1a(const std::string& s);
+
+  struct Owner {
+    int shard = 0;
+    int version = 0;
+  };
 
   const int shards_;
   mutable check::Mutex mutex_{check::LockRank::kShardRouter,
                               "core::ShardRouter"};
-  std::unordered_map<std::string, int> overrides_ PA_GUARDED_BY(mutex_);
+  std::unordered_map<std::string, Owner> owners_ PA_GUARDED_BY(mutex_);
 };
 
 }  // namespace pa::core

@@ -49,36 +49,33 @@ class WorkloadManager {
   /// and must be requeued or failed by the caller.
   std::vector<std::string> remove_pilot(const std::string& pilot_id);
 
-  /// A bound unit detached together with its pilot (cross-shard move).
-  /// Carries the bookkeeping that must survive the move: reserved cores
-  /// and the requeue count (so the max_requeues bound cannot be reset by
-  /// moving a poison unit between shards).
-  struct DetachedUnit {
-    std::string unit_id;
-    int cores = 1;
-    int requeues = 0;
-  };
-
-  /// Removes a pilot *without* orphaning its bound units (they travel with
-  /// it to another shard). Unlike remove_pilot, this has no requeue side
-  /// effects; queued units are untouched. Returns the detached bound set.
-  std::vector<DetachedUnit> detach_pilot(const std::string& pilot_id);
-
-  /// Registers a pilot arriving from another shard together with the
-  /// units already bound to it: capacity is added and immediately
-  /// re-reserved for the bound set, and requeue counts are re-seeded.
-  void adopt_pilot(const std::string& pilot_id, const std::string& site,
-                   int total_cores, int priority, double cost_per_core_hour,
-                   double walltime_end,
-                   const std::vector<DetachedUnit>& bound_units);
-
   bool has_pilot(const std::string& pilot_id) const;
   std::size_t pilot_count() const { return pilots_.size(); }
 
   /// Enqueues a unit (FCFS position = call order; policies with a
   /// unit_order() place it by sorted insertion instead, after its equals).
+  /// `requeues` seeds the requeue budget a unit handed over from another
+  /// shard already consumed.
   void enqueue_unit(const std::string& unit_id,
-                    const ComputeUnitDescription& description);
+                    const ComputeUnitDescription& description,
+                    int requeues = 0);
+
+  /// A queued unit taken for hand-over to another shard, with the
+  /// requeue budget it already consumed.
+  struct TakenUnit {
+    std::string unit_id;
+    int requeues = 0;
+  };
+
+  /// Queue entries a hand-over inspects, from the front: bounds the cost
+  /// when the head of a deep queue does not fit the receiving pilot.
+  static constexpr std::size_t kHandOverScan = 256;
+
+  /// Removes queued units for hand-over: front first (the oldest waits),
+  /// each small enough for one pilot with `free_cores` free, until their
+  /// cores sum to at most `free_cores`. Units that do not fit keep their
+  /// place. Only the first kHandOverScan entries are inspected.
+  std::vector<TakenUnit> take_queued_units(int free_cores);
 
   /// Units may requeue this often before the manager refuses; see
   /// set_max_requeues. High enough that legitimate fault-tolerance churn
@@ -110,6 +107,8 @@ class WorkloadManager {
   std::vector<std::string> queued_unit_ids() const;
   int free_cores(const std::string& pilot_id) const;
   int total_free_cores() const;
+  /// Largest free-core count on any one pilot (0 without pilots).
+  int max_free_cores() const;
 
   /// True when something changed since the last executed pass, i.e. the
   /// next schedule_pass will actually run the strategy.
@@ -143,9 +142,9 @@ class WorkloadManager {
 
   /// Emits scheduler-decision counters ("wm.schedule_passes",
   /// "wm.schedule_passes_skipped", "wm.units_assigned") and queue/capacity
-  /// gauges into `metrics`. Pass nullptr to detach; the registry must
-  /// outlive its attachment.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
+  /// gauges into `metrics`; the instruments are resolved here, once.
+  /// Pass nullptr to detach; the registry must outlive its attachment.
+  void set_metrics(obs::MetricsRegistry* metrics);
 
   /// Source of tenant weights for the fair-share pass. Pass nullptr to
   /// detach; the interface must outlive its attachment.
@@ -203,6 +202,9 @@ class WorkloadManager {
   void insert_queued(QueuedUnit unit, bool front);
   /// Drops one unit from `tenant`'s queued count (the entry goes at 0).
   void unqueue_tenant(const std::string& tenant);
+  /// Removes the queue entries marked in `taken` (a prefix of the queue,
+  /// indexed by position), keeping the survivors' order.
+  void erase_taken(const std::vector<char>& taken);
 
   /// Weighted fair-share ordering (deficit round robin): credits every
   /// tenant with queued units (weight x quantum), then interleaves the
@@ -211,8 +213,17 @@ class WorkloadManager {
   /// granted) when fewer than two tenants have queued units.
   bool fair_share_order(std::vector<std::size_t>* order);
 
+  /// The wm.* instruments; all null while no registry is attached.
+  struct Instruments {
+    obs::Counter* passes = nullptr;
+    obs::Counter* passes_skipped = nullptr;
+    obs::Counter* units_assigned = nullptr;
+    obs::Gauge* queued_units = nullptr;
+    obs::Gauge* free_cores = nullptr;
+  };
+
   std::unique_ptr<Scheduler> scheduler_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  Instruments metrics_;
   int max_requeues_ = kDefaultMaxRequeues;
   std::map<std::string, PilotRecord> pilots_;
   /// Persistent scheduler input, in registration order (the stable view
@@ -239,10 +250,11 @@ class WorkloadManager {
   /// empties (fresh start when it returns).
   std::map<std::string, double> drr_deficit_;
   /// Queued units per tenant; only tenants with queued units have an
-  /// entry. Kept by the three places that change the queue: insert_queued,
-  /// remove_queued_unit and the apply step (remove_pilot and detach_pilot
-  /// leave the queue alone). The deficit cleanup and the single-tenant
-  /// fast path read it in O(tenants) instead of scanning the queue.
+  /// entry. Kept by the places that change the queue: insert_queued,
+  /// remove_queued_unit, take_queued_units and the apply step
+  /// (remove_pilot leaves the queue alone). The deficit cleanup and the
+  /// single-tenant fast path read it in O(tenants) instead of scanning
+  /// the queue.
   std::map<std::string, std::size_t> queued_per_tenant_;
 };
 

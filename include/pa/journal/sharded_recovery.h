@@ -10,9 +10,9 @@
 /// `RecoveryCoordinator`; this layer discovers the streams, recovers each
 /// one, and *merges* the images into a single `ResumePlan`.
 ///
-/// Merge semantics (a pilot moved between shards mid-run appears in more
-/// than one stream — the source's records simply stop at the departure
-/// and the target re-journals an adoption chain):
+/// Merge semantics (a unit handed between shards mid-run appears in more
+/// than one stream — the victim's records stop at PENDING, where the unit
+/// left, and the thief journals an adoption chain, submitted + PENDING):
 ///
 ///  * terminal-wins: an entity with a terminal record in ANY stream is
 ///    finished; completed units are never re-run (exactly-once);

@@ -57,7 +57,7 @@ PilotComputeService::PilotComputeService(Runtime& runtime, Options options)
     peers.push_back(s.get());
   }
   for (const auto& s : shards_) {
-    s->set_peers(peers);
+    s->start(peers);
   }
 }
 
@@ -72,7 +72,7 @@ PilotComputeService::~PilotComputeService() {
     // Destructor must not throw; shutdown failures at teardown are moot.
   }
   // Stop every apply context before any shard destructs: shards hold raw
-  // peer pointers, and a still-running apply thread could forward into a
+  // peer pointers, and a still-running apply thread could post into a
   // peer mid-teardown.
   for (const auto& s : shards_) {
     s->stop();
@@ -251,8 +251,24 @@ void PilotComputeService::cancel_pilot(const std::string& pilot_id) {
 }
 
 void PilotComputeService::cancel_unit(const std::string& unit_id) {
-  owner_of(unit_id).ctrl().post_and_wait(
-      cmd::Command{cmd::CmdCancelUnit{unit_id}});
+  // A queued unit may be handed to another shard between routing and
+  // apply. The old owner then answers NotFound, and the hand-over has
+  // already repinned the unit, so follow the owner table until it stops
+  // changing.
+  int shard = router_.shard_for_id(unit_id);
+  for (;;) {
+    try {
+      shards_[static_cast<std::size_t>(shard)]->ctrl().post_and_wait(
+          cmd::Command{cmd::CmdCancelUnit{unit_id}});
+      return;
+    } catch (const NotFound&) {
+      const int owner = router_.shard_for_id(unit_id);
+      if (owner == shard) {
+        throw;
+      }
+      shard = owner;
+    }
+  }
 }
 
 void PilotComputeService::shutdown() {
@@ -274,20 +290,6 @@ void PilotComputeService::shutdown() {
   }
 }
 
-void PilotComputeService::move_pilot_to_shard(const std::string& pilot_id,
-                                              int target_shard) {
-  PA_REQUIRE_ARG(
-      target_shard >= 0 && target_shard < static_cast<int>(shards_.size()),
-      "target_shard out of range");
-  owner_of(pilot_id).ctrl().post_and_wait(
-      cmd::Command{cmd::CmdMovePilot{pilot_id, target_shard}});
-  // The move posted CmdInstallPilot onto the target; this fence drains it
-  // (and the publish that follows), so on return the target owns and
-  // exposes the pilot.
-  shards_[static_cast<std::size_t>(target_shard)]->ctrl().post_and_wait(
-      cmd::Command{cmd::CmdFence{}});
-}
-
 void PilotComputeService::advance_ids(std::uint64_t next_pilot,
                                       std::uint64_t next_unit) {
   pilot_ids_.skip_to(next_pilot);
@@ -299,28 +301,15 @@ void PilotComputeService::advance_ids(std::uint64_t next_pilot,
 // ---------------------------------------------------------------------------
 
 PilotState PilotComputeService::pilot_state(const std::string& pilot_id) const {
+  // Pilots never change shard; the scan covers ids read before their
+  // owner-table entry (a restart's fresh id) and unknown ids.
   PilotState state;
-  ServiceShard& routed = owner_of(pilot_id);
-  if (routed.try_pilot_state(pilot_id, &state)) {
+  if (owner_of(pilot_id).try_pilot_state(pilot_id, &state)) {
     return state;
   }
   for (const auto& s : shards_) {
     if (s->try_pilot_state(pilot_id, &state)) {
       return state;
-    }
-  }
-  if (shards_.size() > 1) {
-    // Mid-move visibility gap: the pilot may sit in the routed owner's
-    // queue as a pending install. Fence it (flushing install + publish),
-    // then rescan — the fence also orders us after any re-pin.
-    routed.ctrl().post_and_wait(cmd::Command{cmd::CmdFence{}});
-    if (owner_of(pilot_id).try_pilot_state(pilot_id, &state)) {
-      return state;
-    }
-    for (const auto& s : shards_) {
-      if (s->try_pilot_state(pilot_id, &state)) {
-        return state;
-      }
     }
   }
   throw NotFound("unknown pilot: " + pilot_id);
@@ -346,6 +335,10 @@ ServiceShard::UnitSnap PilotComputeService::unit_snap(
     return snap;
   }
   if (shards_.size() > 1) {
+    // Mid-hand-over visibility gap: the victim published the unit's
+    // departure, and the adopt waits in the owner's queue. Fencing the
+    // owner flushes it (the repin follows the post, so the fence queues
+    // behind the adopt).
     owner_of(unit_id).ctrl().post_and_wait(cmd::Command{cmd::CmdFence{}});
     if (try_unit_snap(unit_id, &snap)) {
       return snap;

@@ -19,17 +19,18 @@ ServiceShard::ServiceShard(Runtime& runtime, int index,
       router_(router),
       shut_down_(shut_down),
       in_transit_units_(in_transit_units),
-      next_pilot_id_(std::move(next_pilot_id)) {
+      next_pilot_id_(std::move(next_pilot_id)) {}
+
+void ServiceShard::start(std::vector<ServiceShard*> peers) {
+  // The apply thread reads peers_ on every batch end, timer ticks
+  // included, so the fan-out is written before the thread starts.
+  peers_ = std::move(peers);
   Ctrl::Options options;
   options.threaded = !runtime_.single_threaded();
   options.clock = [this]() { return runtime_.now(); };
   ctrl_ = std::make_unique<Ctrl>(
       [this](cmd::Command& command) { apply_command(command); },
       [this]() { on_batch_end(); }, std::move(options));
-}
-
-void ServiceShard::set_peers(std::vector<ServiceShard*> peers) {
-  peers_ = std::move(peers);
 }
 
 // ---------------------------------------------------------------------------
@@ -70,59 +71,6 @@ std::size_t ServiceShard::unfinished_units() const {
 void ServiceShard::merge_metrics(ServiceMetrics* out) const {
   check::MutexLock lock(snapshot_mutex_);
   out->merge(model_.metrics);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard forwarding.
-// ---------------------------------------------------------------------------
-
-void ServiceShard::forward_to(int target_shard, cmd::Command command) {
-  if (forward_hops_ >= cmd::kMaxForwardHops) {
-    PA_LOG(kWarn, "pcs") << "dropping command after " << forward_hops_
-                         << " forward hops (shard " << index_ << " -> "
-                         << target_shard << ")";
-    return;
-  }
-  PA_CHECK_MSG(target_shard >= 0 &&
-                   target_shard < static_cast<int>(peers_.size()),
-               "forward to unknown shard " << target_shard);
-  auto inner = std::make_shared<cmd::ForwardedCommand>();
-  inner->command = std::move(command);
-  peers_[static_cast<std::size_t>(target_shard)]->ctrl().post_forward(
-      cmd::Command{cmd::CmdForward{target_shard, forward_hops_ + 1,
-                                   std::move(inner)}});
-}
-
-bool ServiceShard::forward_if_remote(const std::string& id,
-                                     cmd::Command command) {
-  const int target = router_.shard_for_id(id);
-  if (target == index_) {
-    return false;
-  }
-  forward_to(target, std::move(command));
-  return true;
-}
-
-void ServiceShard::apply(cmd::CmdForward& c) {
-  if (c.inner == nullptr) {
-    return;
-  }
-  if (c.hops > cmd::kMaxForwardHops) {
-    PA_LOG(kWarn, "pcs") << "dropping forwarded command: hop budget "
-                         << "exhausted at shard " << index_;
-    return;
-  }
-  // Unwrap and apply through the same taxonomy the direct path uses; the
-  // hop depth survives the unwrapping so a re-forward keeps counting.
-  const int saved = forward_hops_;
-  forward_hops_ = c.hops;
-  try {
-    apply_command(c.inner->command);
-  } catch (...) {
-    forward_hops_ = saved;
-    throw;
-  }
-  forward_hops_ = saved;
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +120,7 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
   rec.restarts_used = restarts_used;
   if (router_.default_shard(pilot_id) != index_) {
     // A restart minted an id whose computable home is another shard; pin
-    // it here so forwarded callbacks and facade reads find the owner.
+    // it here so the facade's routed writes find the owner.
     router_.pin(pilot_id, index_);
     rec.router_pinned = true;
   }
@@ -199,8 +147,8 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
 
   // Runtime callbacks never run middleware logic on a substrate thread:
   // each is a wait-free post of the corresponding command (tools/lint.py
-  // enforces this shape). They capture *this* shard's queue; if the pilot
-  // later moves, the source shard forwards the posted command.
+  // enforces this shape). They capture *this* shard's queue: pilots never
+  // change shard.
   PilotRuntimeCallbacks callbacks;
   callbacks.on_active = [this](const std::string& id, int cores,
                                const std::string& site) {
@@ -215,8 +163,8 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
     tracer_->event_at(runtime_.now(), "pilot.state", pilot_id,
                       to_string(PilotState::kSubmitted));
   }
-  if (obs_metrics_ != nullptr) {
-    obs_metrics_->counter("pcs.pilots_submitted").inc();
+  if (instruments_.pilots_submitted != nullptr) {
+    instruments_.pilots_submitted->inc();
   }
   runtime_.start_pilot(pilot_id, description, std::move(callbacks));
   PA_LOG(kInfo, "pcs") << "submitted pilot " << pilot_id << " to "
@@ -224,14 +172,7 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
 }
 
 void ServiceShard::apply(cmd::CmdPilotActive& c) {
-  const auto it = pilots_.find(c.pilot_id);
-  if (it == pilots_.end()) {
-    if (forward_if_remote(c.pilot_id, cmd::Command{c})) {
-      return;  // pilot moved; the owner applies it
-    }
-    throw NotFound("unknown pilot: " + c.pilot_id);
-  }
-  auto& rec = it->second;
+  auto& rec = pilot_record(c.pilot_id);
   // Record capacity before firing the transition so the state-machine
   // observer can journal cores/site with the ACTIVE record.
   rec.total_cores = c.total_cores;
@@ -253,12 +194,9 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
     tracer_->event_at(rec.active_time, "pilot.state", c.pilot_id,
                       to_string(PilotState::kActive));
   }
-  if (obs_metrics_ != nullptr) {
-    obs_metrics_->counter("pcs.pilots_active").inc();
-    obs_metrics_
-        ->histogram("pcs.pilot_startup", kLatencyMinSeconds,
-                    kLatencyMaxSeconds)
-        .record(startup);
+  if (instruments_.pilots_active != nullptr) {
+    instruments_.pilots_active->inc();
+    instruments_.pilot_startup->record(startup);
   }
   workload_.add_pilot(c.pilot_id, c.site, c.total_cores,
                       rec.description.priority,
@@ -270,14 +208,7 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
 
 void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
   const std::string& pilot_id = c.pilot_id;
-  const auto pit = pilots_.find(pilot_id);
-  if (pit == pilots_.end()) {
-    if (forward_if_remote(pilot_id, cmd::Command{c})) {
-      return;  // pilot moved; the owner applies it
-    }
-    throw NotFound("unknown pilot: " + pilot_id);
-  }
-  auto& rec = pit->second;
+  auto& rec = pilot_record(pilot_id);
   const std::vector<std::string> orphans = workload_.remove_pilot(pilot_id);
   rec.sm.try_transition(c.state);
   const double terminated_at = runtime_.now();
@@ -320,8 +251,8 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
         check::MutexLock lock(snapshot_mutex_);
         ++model_.metrics.requeues;
       }
-      if (obs_metrics_ != nullptr) {
-        obs_metrics_->counter("pcs.unit_requeues").inc();
+      if (instruments_.unit_requeues != nullptr) {
+        instruments_.unit_requeues->inc();
       }
       // State machine: RUNNING/SCHEDULED -> FAILED would be terminal, so
       // we model a requeue as a fresh PENDING attempt (observers notified
@@ -347,8 +278,8 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
     } else {
       if (want_requeue) {
         // The workload manager refused: requeue bound exhausted.
-        if (obs_metrics_ != nullptr) {
-          obs_metrics_->counter("pcs.units_failed_requeue_limit").inc();
+        if (instruments_.units_failed_requeue_limit != nullptr) {
+          instruments_.units_failed_requeue_limit->inc();
         }
         PA_LOG(kWarn, "pcs") << unit_id << " exhausted its requeue bound "
                              << "after pilot " << pilot_id
@@ -399,10 +330,6 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
   rec.description = c.description;
   rec.tenant = tenant_of(c.description);
   rec.times.submitted = runtime_.now();
-  if (router_.default_shard(unit_id) != index_) {
-    router_.pin(unit_id, index_);
-    rec.router_pinned = true;
-  }
   if (!first_submit_recorded_) {
     first_submit_recorded_ = true;
     check::MutexLock lock(snapshot_mutex_);
@@ -415,8 +342,8 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
                              uit->second.times.submitted);
   }
   uit->second.sm.observe(make_unit_observer(unit_id));
-  if (obs_metrics_ != nullptr) {
-    obs_metrics_->counter("pcs.units_submitted").inc();
+  if (instruments_.units_submitted != nullptr) {
+    instruments_.units_submitted->inc();
   }
   uit->second.sm.transition(UnitState::kPending);
   workload_.enqueue_unit(unit_id, c.description);
@@ -475,16 +402,12 @@ void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
 
 void ServiceShard::apply(cmd::CmdStageInDone& c) {
   const auto it = units_.find(c.unit_id);
-  if (it == units_.end()) {
-    if (forward_if_remote(c.unit_id, cmd::Command{c})) {
-      return;  // unit moved with its pilot; the owner applies it
-    }
-    throw NotFound("unknown unit: " + c.unit_id);
+  if (it == units_.end() || c.attempt != it->second.attempts) {
+    // Barrier of a superseded dispatch: dispatched units never move, so
+    // a unit this shard no longer holds was requeued and handed over.
+    return;
   }
   auto& unit = it->second;
-  if (c.attempt != unit.attempts) {
-    return;  // barrier of a superseded dispatch
-  }
   if (is_final(unit.sm.state())) {
     return;  // canceled/failed while staging
   }
@@ -511,16 +434,12 @@ void ServiceShard::execute_unit_apply(const std::string& unit_id) {
 
 void ServiceShard::apply(cmd::CmdUnitDone& c) {
   const auto it = units_.find(c.unit_id);
-  if (it == units_.end()) {
-    if (forward_if_remote(c.unit_id, cmd::Command{c})) {
-      return;  // unit moved with its pilot; the owner applies it
-    }
-    throw NotFound("unknown unit: " + c.unit_id);
+  if (it == units_.end() || c.attempt != it->second.attempts) {
+    // Completion of a superseded attempt (a unit this shard no longer
+    // holds was requeued and handed over: dispatched units never move).
+    return;
   }
   auto& unit = it->second;
-  if (c.attempt != unit.attempts) {
-    return;  // completion of a superseded attempt
-  }
   if (is_final(unit.sm.state())) {
     return;  // already finalized (e.g. pilot died and unit was failed)
   }
@@ -573,10 +492,6 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
       ++m.units_canceled;
     }
   }
-  if (unit.router_pinned) {
-    router_.forget(unit_id);
-    unit.router_pinned = false;
-  }
   if (admission_ != nullptr) {
     const double wait = unit.times.started >= 0.0
                             ? unit.times.started - unit.times.submitted
@@ -589,33 +504,24 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
     tracer_->record_span("unit.exec", unit_id, unit.times.started,
                          unit.times.finished);
   }
-  if (obs_metrics_ == nullptr) {
+  if (instruments_.units_done == nullptr) {
     return;
   }
   if (done) {
-    obs_metrics_->counter("pcs.units_done").inc();
-    obs_metrics_
-        ->histogram("pcs.unit_wait", kLatencyMinSeconds, kLatencyMaxSeconds)
-        .record(unit.times.wait_time());
-    obs_metrics_
-        ->histogram("pcs.unit_exec", kLatencyMinSeconds, kLatencyMaxSeconds)
-        .record(unit.times.exec_time());
+    instruments_.units_done->inc();
+    instruments_.unit_wait->record(unit.times.wait_time());
+    instruments_.unit_exec->record(unit.times.exec_time());
   } else if (failed) {
-    obs_metrics_->counter("pcs.units_failed").inc();
+    instruments_.units_failed->inc();
   } else {
-    obs_metrics_->counter("pcs.units_canceled").inc();
+    instruments_.units_canceled->inc();
   }
 }
 
 void ServiceShard::apply(cmd::CmdCancelUnit& c) {
-  const auto it = units_.find(c.unit_id);
-  if (it == units_.end()) {
-    if (forward_if_remote(c.unit_id, cmd::Command{c})) {
-      return;  // unit moved with its pilot; the owner applies it
-    }
-    throw NotFound("unknown unit: " + c.unit_id);
-  }
-  auto& unit = it->second;
+  // NotFound also answers a cancel that raced a hand-over; the facade
+  // re-routes it (pilot_compute_service.cpp cancel_unit).
+  auto& unit = unit_record(c.unit_id);
   if (is_final(unit.sm.state())) {
     return;
   }
@@ -649,10 +555,32 @@ void ServiceShard::apply(cmd::CmdAttachObservability& c) {
   obs_metrics_ = c.metrics;
   workload_.set_metrics(c.metrics);
   ctrl_->set_metrics(c.metrics, "s" + std::to_string(index_));
+  obs::MetricsRegistry* m = c.metrics;
+  if (m == nullptr) {
+    instruments_ = Instruments{};
+    return;
+  }
+  instruments_.pilots_submitted = &m->counter("pcs.pilots_submitted");
+  instruments_.pilots_active = &m->counter("pcs.pilots_active");
+  instruments_.pilot_startup = &m->histogram(
+      "pcs.pilot_startup", kLatencyMinSeconds, kLatencyMaxSeconds);
+  instruments_.units_submitted = &m->counter("pcs.units_submitted");
+  instruments_.units_done = &m->counter("pcs.units_done");
+  instruments_.units_failed = &m->counter("pcs.units_failed");
+  instruments_.units_canceled = &m->counter("pcs.units_canceled");
+  instruments_.unit_requeues = &m->counter("pcs.unit_requeues");
+  instruments_.units_failed_requeue_limit =
+      &m->counter("pcs.units_failed_requeue_limit");
+  instruments_.units_handed_over = &m->counter("pcs.units_handed_over");
+  instruments_.unit_wait = &m->histogram("pcs.unit_wait", kLatencyMinSeconds,
+                                         kLatencyMaxSeconds);
+  instruments_.unit_exec = &m->histogram("pcs.unit_exec", kLatencyMinSeconds,
+                                         kLatencyMaxSeconds);
 }
 
 void ServiceShard::apply(cmd::CmdAttachJournal& c) {
   journal_ = c.journal;
+  departed_units_.clear();  // a new stream holds none of them
 }
 
 void ServiceShard::apply(cmd::CmdAttachAdmission& c) {
@@ -679,204 +607,160 @@ void ServiceShard::apply(cmd::CmdObserveUnits& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Pilot moves (fence protocol, facade-driven).
+// Hand-over: PENDING units move to shards with idle cores.
 // ---------------------------------------------------------------------------
 
-void ServiceShard::apply(cmd::CmdMovePilot& c) {
-  const auto it = pilots_.find(c.pilot_id);
-  if (it == pilots_.end()) {
-    if (forward_if_remote(c.pilot_id, cmd::Command{c})) {
-      return;  // stale routing; the owner performs the move
+cmd::CmdAdoptUnits ServiceShard::take_for_hand_over(int free_cores) {
+  auto adopt = cmd::CmdAdoptUnits{};
+  for (auto& taken : workload_.take_queued_units(free_cores)) {
+    const auto it = units_.find(taken.unit_id);
+    PA_CHECK_MSG(it != units_.end(), "queued unit without record");
+    UnitRecord& u = it->second;
+    adopt.units.push_back(cmd::HandedOverUnit{
+        taken.unit_id, std::move(u.description), std::move(u.tenant),
+        u.attempts, u.times, taken.requeues, u.handovers + 1});
+    units_.erase(it);
+    dirty_units_.erase(taken.unit_id);
+    removed_units_.insert(taken.unit_id);
+    if (journal_ != nullptr) {
+      departed_units_.insert(taken.unit_id);
     }
-    throw NotFound("unknown pilot: " + c.pilot_id);
   }
-  PA_REQUIRE_ARG(c.target_shard >= 0 &&
-                     c.target_shard < static_cast<int>(peers_.size()),
-                 "move to unknown shard " << c.target_shard);
-  if (c.target_shard == index_) {
-    return;  // already home
-  }
-  PilotRecord& rec = it->second;
-  if (is_final(rec.sm.state())) {
-    return;  // nothing to move; the history record stays here
-  }
-
-  auto transfer = std::make_shared<cmd::PilotTransfer>();
-  transfer->pilot_id = c.pilot_id;
-  transfer->description = rec.description;
-  transfer->state = rec.sm.state();
-  transfer->submit_time = rec.submit_time;
-  transfer->active_time = rec.active_time;
-  transfer->total_cores = rec.total_cores;
-  transfer->site = rec.site;
-  transfer->restarts_used = rec.restarts_used;
-  transfer->source_shard = index_;
-
-  // Bound, non-final units travel with the pilot; queued units stay in
-  // this shard's late-binding queue (they are not bound to anything).
-  const auto detached = workload_.detach_pilot(c.pilot_id);
-  for (const auto& d : detached) {
-    const auto uit = units_.find(d.unit_id);
-    PA_CHECK_MSG(uit != units_.end(), "bound unit without record");
-    const UnitRecord& u = uit->second;
-    cmd::PilotTransfer::Unit tu;
-    tu.unit_id = d.unit_id;
-    tu.description = u.description;
-    tu.state = u.sm.state();
-    tu.times = u.times;
-    tu.cancel_requested = u.cancel_requested;
-    tu.attempts = u.attempts;
-    tu.cores = d.cores;
-    tu.requeues = d.requeues;
-    transfer->units.push_back(std::move(tu));
-  }
-
   // The facade's unfinished count must never dip while units are between
-  // shards (wait_all_units would return early): count them in transit
-  // before this shard's publish stops counting them. The target releases
-  // after the publish that makes them visible there.
-  in_transit_units_.fetch_add(
-      static_cast<std::int64_t>(transfer->units.size()),
-      std::memory_order_relaxed);
-
-  for (const auto& tu : transfer->units) {
-    dirty_units_.erase(tu.unit_id);
-    removed_units_.insert(tu.unit_id);
-    units_.erase(tu.unit_id);
-  }
-  dirty_pilots_.erase(c.pilot_id);
-  removed_pilots_.insert(c.pilot_id);
-  pilots_.erase(it);
-
-  // Order matters: the install must land in the target's queue *before*
-  // the router repin becomes observable to other appliers, so a command
-  // forwarded because of the new pin can never be applied there first
-  // (the MPSC queue preserves completed-push order).
-  peers_[static_cast<std::size_t>(c.target_shard)]->ctrl().post_forward(
-      cmd::Command{cmd::CmdInstallPilot{transfer}});
-  router_.pin(c.pilot_id, c.target_shard);
-  for (const auto& tu : transfer->units) {
-    router_.pin(tu.unit_id, c.target_shard);
-  }
-  if (obs_metrics_ != nullptr) {
-    obs_metrics_->counter("pcs.pilot_moves").inc();
-  }
-  PA_LOG(kInfo, "pcs") << "moved pilot " << c.pilot_id << " with "
-                       << transfer->units.size() << " bound units: shard "
-                       << index_ << " -> " << c.target_shard;
+  // shards: count them in transit before this shard's publish stops
+  // counting them. The thief releases them after the publish that makes
+  // them visible there.
+  in_transit_units_.fetch_add(static_cast<std::int64_t>(adopt.units.size()),
+                              std::memory_order_relaxed);
+  advert_queued_.store(workload_.queued_units(), std::memory_order_relaxed);
+  return adopt;
 }
 
-void ServiceShard::journal_adopted_pilot(const std::string& pilot_id,
-                                         const PilotRecord& rec) {
-  // Re-journal the legal live-path chain into this shard's WAL so a
-  // recovery that merges per-shard images sees the pilot here; the
-  // source shard's departure needs no record (merged recovery dedupes by
-  // id and terminal states win).
-  const double now = runtime_.now();
-  journal_->pilot_submitted(pilot_id, rec.description, rec.restarts_used,
-                            now);
-  journal_->pilot_state(pilot_id, PilotState::kSubmitted, 0, "", now);
-  if (rec.sm.state() == PilotState::kActive) {
-    journal_->pilot_state(pilot_id, PilotState::kActive, rec.total_cores,
-                          rec.site, now);
+void ServiceShard::post_adopt(ServiceShard& thief, cmd::CmdAdoptUnits adopt) {
+  std::vector<std::pair<std::string, int>> owners;
+  owners.reserve(adopt.units.size());
+  for (const auto& u : adopt.units) {
+    owners.emplace_back(u.unit_id, u.handovers);
   }
-}
-
-void ServiceShard::journal_adopted_unit(const std::string& unit_id,
-                                        const UnitRecord& rec) {
-  const double now = runtime_.now();
-  journal_->unit_submitted(unit_id, rec.description, now);
-  journal_->unit_state(unit_id, UnitState::kPending, now);
-  journal_->unit_bound(unit_id, rec.pilot_id, now);
-  const UnitState state = rec.sm.state();
-  if (state == UnitState::kStagingIn) {
-    journal_->unit_state(unit_id, UnitState::kStagingIn, now);
+  // Order matters: the adopt must sit in the thief's queue before the
+  // repin is observable, so a routed write that follows the new owner
+  // entry is applied there after the adoption (the MPSC queue preserves
+  // completed-push order). The hand-over count orders the pins, so a
+  // thief that hands a unit on before this repin lands still wins.
+  if (!thief.ctrl().post_forward(cmd::Command{std::move(adopt)})) {
+    // Only at teardown: hand-overs stop with shutdown, before any plane.
+    in_transit_units_.fetch_sub(static_cast<std::int64_t>(owners.size()),
+                                std::memory_order_relaxed);
+    PA_LOG(kWarn, "pcs") << "shard " << thief.index()
+                         << " stopped; dropped " << owners.size()
+                         << " handed-over units";
     return;
   }
-  journal_->unit_state(unit_id, UnitState::kScheduled, now);
-  if (state == UnitState::kRunning) {
-    journal_->unit_state(unit_id, UnitState::kRunning, now);
+  for (const auto& [unit_id, handovers] : owners) {
+    router_.pin(unit_id, thief.index(), handovers);
+  }
+  if (instruments_.units_handed_over != nullptr) {
+    instruments_.units_handed_over->inc(owners.size());
   }
 }
 
-void ServiceShard::apply(cmd::CmdInstallPilot& c) {
-  PA_CHECK_MSG(c.transfer != nullptr, "install without transfer payload");
-  const cmd::PilotTransfer& t = *c.transfer;
-  PA_CHECK_MSG(pilots_.find(t.pilot_id) == pilots_.end(),
-               "moved pilot already present: " << t.pilot_id);
+void ServiceShard::apply(cmd::CmdRequestUnits& c) {
+  // Always answer: the adopt, empty or not, releases the thief's slot.
+  ServiceShard& thief = *peers_[static_cast<std::size_t>(c.thief_shard)];
+  post_adopt(thief, take_for_hand_over(c.free_cores));
+}
 
-  PilotRecord rec;
-  rec.description = t.description;
-  rec.tenant = tenant_of(t.description);
-  rec.submit_time = t.submit_time;
-  rec.active_time = t.active_time;
-  rec.total_cores = t.total_cores;
-  rec.site = t.site;
-  rec.restarts_used = t.restarts_used;
-  // lint:allow-state-reset — adoption rebuilds the machine at the moved
-  // pilot's carried state; its history lives in the source shard's WAL
-  // and the adoption chain journaled below.
-  rec.sm = PilotStateMachine(t.state);
-  rec.router_pinned = true;  // the source pinned the router to us
-  auto [pit, inserted] = pilots_.emplace(t.pilot_id, std::move(rec));
-  PA_CHECK(inserted);
-  if (journal_ != nullptr) {
-    journal_adopted_pilot(t.pilot_id, pit->second);
+void ServiceShard::apply(cmd::CmdAdoptUnits& c) {
+  adopt_pending_.store(false, std::memory_order_release);
+  if (c.units.empty()) {
+    return;  // the peer had nothing that fits; declined_free_cores_ holds
   }
-  pit->second.sm.observe([this, pilot_id = t.pilot_id](PilotState /*from*/,
-                                                       PilotState to) {
-    if (journal_ != nullptr) {
-      const auto& p = pilots_.at(pilot_id);
-      journal_->pilot_state(pilot_id, to, p.total_cores, p.site,
-                            runtime_.now());
+  declined_free_cores_ = 0;
+  const double now = runtime_.now();
+  for (auto& h : c.units) {
+    // A unit returning to a shard it left resumes the record this
+    // shard's stream already holds (PENDING, unbound); any other is
+    // journaled as an adoption chain (submitted + PENDING). Merged
+    // recovery dedupes by id, and terminal states win.
+    const bool returning = departed_units_.erase(h.unit_id) > 0;
+    if (journal_ != nullptr && !returning) {
+      journal_->unit_submitted(h.unit_id, h.description, now);
+      journal_->unit_state(h.unit_id, UnitState::kPending, now);
     }
-    dirty_pilots_.insert(pilot_id);
-  });
-  dirty_pilots_.insert(t.pilot_id);
-
-  if (pit->second.sm.state() == PilotState::kActive) {
-    std::vector<WorkloadManager::DetachedUnit> bound;
-    bound.reserve(t.units.size());
-    for (const auto& tu : t.units) {
-      bound.push_back(WorkloadManager::DetachedUnit{tu.unit_id, tu.cores,
-                                                    tu.requeues});
-    }
-    workload_.adopt_pilot(t.pilot_id, t.site, t.total_cores,
-                          t.description.priority,
-                          t.description.cost_per_core_hour,
-                          t.active_time + t.description.walltime, bound);
-  } else {
-    // Units bind only to ACTIVE pilots, so a SUBMITTED pilot moves alone.
-    PA_CHECK_MSG(t.units.empty(),
-                 "non-active moved pilot carries bound units");
-  }
-
-  for (const auto& tu : t.units) {
+    workload_.enqueue_unit(h.unit_id, h.description, h.requeues);
     UnitRecord u;
-    u.description = tu.description;
-    u.tenant = tenant_of(tu.description);
-    u.times = tu.times;
-    u.pilot_id = t.pilot_id;
-    u.cancel_requested = tu.cancel_requested;
-    u.attempts = tu.attempts;
-    // lint:allow-state-reset — same adoption rationale as the pilot
-    // machine above; attempt tags are carried, so stale completions from
-    // superseded attempts stay ignored after the move.
-    u.sm = UnitStateMachine(tu.state);
-    u.router_pinned = true;
-    auto [uit, uinserted] = units_.emplace(tu.unit_id, std::move(u));
-    PA_CHECK(uinserted);
-    if (journal_ != nullptr) {
-      journal_adopted_unit(tu.unit_id, uit->second);
-    }
-    uit->second.sm.observe(make_unit_observer(tu.unit_id));
-    dirty_units_.insert(tu.unit_id);
+    u.description = std::move(h.description);
+    u.tenant = std::move(h.tenant);
+    u.times = h.times;
+    u.attempts = h.attempts;
+    u.handovers = h.handovers;
+    // Reach PENDING before observing: the unit's observers already saw
+    // NEW -> PENDING on the shard it was submitted to.
+    u.sm.transition(UnitState::kPending);
+    auto [uit, inserted] = units_.emplace(h.unit_id, std::move(u));
+    PA_CHECK_MSG(inserted, "handed-over unit already present: " << h.unit_id);
+    uit->second.sm.observe(make_unit_observer(h.unit_id));
+    dirty_units_.insert(h.unit_id);
   }
-  pending_transit_release_ += static_cast<std::int64_t>(t.units.size());
-  PA_LOG(kInfo, "pcs") << "installed pilot " << t.pilot_id << " with "
-                       << t.units.size() << " bound units on shard "
-                       << index_ << " (from shard " << t.source_shard
-                       << ")";
+  pending_transit_release_ += static_cast<std::int64_t>(c.units.size());
+}
+
+void ServiceShard::balance_with_peers() {
+  const std::size_t queued = workload_.queued_units();
+  const int free_cores = workload_.max_free_cores();
+  advert_queued_.store(queued, std::memory_order_relaxed);
+  advert_free_cores_.store(free_cores, std::memory_order_relaxed);
+  if (shut_down_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  if (queued > 0) {
+    // Case 1, push: the idle peer (empty queue) with the most free cores
+    // on one pilot gets what fits there.
+    ServiceShard* thief = nullptr;
+    int most_free = 0;
+    for (ServiceShard* peer : peers_) {
+      const int peer_free =
+          peer->advert_free_cores_.load(std::memory_order_relaxed);
+      if (peer != this && peer_free > most_free &&
+          peer->advert_queued_.load(std::memory_order_relaxed) == 0) {
+        thief = peer;
+        most_free = peer_free;
+      }
+    }
+    if (thief == nullptr ||
+        thief->adopt_pending_.exchange(true, std::memory_order_acq_rel)) {
+      return;
+    }
+    cmd::CmdAdoptUnits adopt = take_for_hand_over(most_free);
+    if (adopt.units.empty()) {
+      thief->adopt_pending_.store(false, std::memory_order_release);
+      return;
+    }
+    post_adopt(*thief, std::move(adopt));
+    return;
+  }
+  // Case 2, request: this shard is idle; ask the peer with the longest
+  // queue, unless a peer already declined these free cores.
+  if (free_cores <= declined_free_cores_) {
+    return;
+  }
+  ServiceShard* victim = nullptr;
+  std::size_t most_queued = 0;
+  for (ServiceShard* peer : peers_) {
+    const std::size_t peer_queued =
+        peer->advert_queued_.load(std::memory_order_relaxed);
+    if (peer != this && peer_queued > most_queued) {
+      victim = peer;
+      most_queued = peer_queued;
+    }
+  }
+  if (victim == nullptr ||
+      adopt_pending_.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  declined_free_cores_ = free_cores;  // cleared when units arrive
+  victim->ctrl().post_forward(
+      cmd::Command{cmd::CmdRequestUnits{index_, free_cores}});
 }
 
 // ---------------------------------------------------------------------------
@@ -885,6 +769,9 @@ void ServiceShard::apply(cmd::CmdInstallPilot& c) {
 
 void ServiceShard::on_batch_end() {
   run_schedule_cycle();
+  if (peers_.size() > 1) {
+    balance_with_peers();
+  }
   publish_snapshot();
   if (pending_transit_release_ > 0) {
     // Only after the publish above: the adopted units are now visible in
@@ -897,18 +784,14 @@ void ServiceShard::on_batch_end() {
 
 void ServiceShard::publish_snapshot() {
   if (dirty_pilots_.empty() && dirty_units_.empty() &&
-      removed_pilots_.empty() && removed_units_.empty()) {
+      removed_units_.empty()) {
     return;  // idle tick: nothing changed
   }
   check::MutexLock lock(snapshot_mutex_);
   ReadModel& m = model_;
-  // Removals first (cross-shard moves): the authoritative records are
-  // gone from this shard, so drop their read-model entries and stop
-  // counting the non-final ones here (the in-transit counter carries
-  // them until the target publishes).
-  for (const auto& pid : removed_pilots_) {
-    m.pilot_states.erase(pid);
-  }
+  // Removals first (hand-overs): the authoritative records are gone from
+  // this shard, so drop their read-model entries and stop counting them
+  // here (the in-transit counter carries them until the thief publishes).
   for (const auto& uid : removed_units_) {
     const auto it = m.units.find(uid);
     if (it != m.units.end()) {
@@ -936,7 +819,6 @@ void ServiceShard::publish_snapshot() {
       --m.unfinished;
     }
   }
-  removed_pilots_.clear();
   removed_units_.clear();
   dirty_pilots_.clear();
   dirty_units_.clear();

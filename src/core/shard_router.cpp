@@ -29,54 +29,35 @@ int ShardRouter::trailing_ordinal(const std::string& id) {
   return value;
 }
 
-std::uint64_t ShardRouter::fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 int ShardRouter::default_shard(const std::string& id) const {
   const int ordinal = trailing_ordinal(id);
-  if (ordinal >= 0) {
-    return ordinal % shards_;
-  }
-  return static_cast<int>(fnv1a(id) % static_cast<std::uint64_t>(shards_));
+  return ordinal >= 0 ? ordinal % shards_ : 0;
 }
 
 int ShardRouter::shard_for_id(const std::string& id) const {
   {
     check::MutexLock lock(mutex_);
-    const auto it = overrides_.find(id);
-    if (it != overrides_.end()) {
-      return it->second;
+    const auto it = owners_.find(id);
+    if (it != owners_.end()) {
+      return it->second.shard;
     }
   }
   return default_shard(id);
 }
 
-int ShardRouter::shard_for_tenant(const std::string& tenant) const {
-  return static_cast<int>(fnv1a(tenant) % static_cast<std::uint64_t>(shards_));
-}
-
-void ShardRouter::pin(const std::string& id, int shard) {
+void ShardRouter::pin(const std::string& id, int shard, int version) {
   PA_REQUIRE_ARG(shard >= 0 && shard < shards_,
                  "shard " << shard << " out of range [0, " << shards_ << ")");
   check::MutexLock lock(mutex_);
-  overrides_[id] = shard;
+  const auto [it, inserted] = owners_.try_emplace(id, Owner{shard, version});
+  if (!inserted && version >= it->second.version) {
+    it->second = Owner{shard, version};
+  }
 }
 
 void ShardRouter::forget(const std::string& id) {
   check::MutexLock lock(mutex_);
-  overrides_.erase(id);
-}
-
-int ShardRouter::pinned(const std::string& id) const {
-  check::MutexLock lock(mutex_);
-  const auto it = overrides_.find(id);
-  return it == overrides_.end() ? -1 : it->second;
+  owners_.erase(id);
 }
 
 }  // namespace pa::core

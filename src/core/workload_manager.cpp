@@ -70,64 +70,6 @@ std::vector<std::string> WorkloadManager::remove_pilot(
   return orphans;
 }
 
-std::vector<WorkloadManager::DetachedUnit> WorkloadManager::detach_pilot(
-    const std::string& pilot_id) {
-  const auto it = pilots_.find(pilot_id);
-  if (it == pilots_.end()) {
-    return {};
-  }
-  site_free_cores_[it->second.site] -= it->second.free_cores;
-  pilots_.erase(it);
-  pilot_views_.erase(
-      std::find_if(pilot_views_.begin(), pilot_views_.end(),
-                   [&](const PilotView& pv) {
-                     return pv.pilot_id == pilot_id;
-                   }));
-  std::vector<DetachedUnit> detached;
-  for (auto bit = bound_.begin(); bit != bound_.end();) {
-    if (bit->second.pilot_id == pilot_id) {
-      DetachedUnit d;
-      d.unit_id = bit->first;
-      d.cores = bit->second.cores;
-      d.requeues = requeue_count(bit->first);
-      requeue_counts_.erase(bit->first);
-      detached.push_back(std::move(d));
-      bit = bound_.erase(bit);
-    } else {
-      ++bit;
-    }
-  }
-  dirty_ = true;
-  return detached;
-}
-
-void WorkloadManager::adopt_pilot(
-    const std::string& pilot_id, const std::string& site, int total_cores,
-    int priority, double cost_per_core_hour, double walltime_end,
-    const std::vector<DetachedUnit>& bound_units) {
-  add_pilot(pilot_id, site, total_cores, priority, cost_per_core_hour,
-            walltime_end);
-  auto& rec = pilots_.at(pilot_id);
-  for (const auto& d : bound_units) {
-    PA_REQUIRE_ARG(bound_.find(d.unit_id) == bound_.end(),
-                   "unit already bound: " << d.unit_id);
-    PA_CHECK_MSG(d.cores <= rec.free_cores,
-                 "adopted bound set oversubscribes pilot " << pilot_id);
-    rec.free_cores -= d.cores;
-    site_free_cores_[site] -= d.cores;
-    bound_.emplace(d.unit_id, BoundUnit{pilot_id, d.cores});
-    if (d.requeues > 0) {
-      requeue_counts_[d.unit_id] = d.requeues;
-    }
-  }
-  const auto vit =
-      std::find_if(pilot_views_.begin(), pilot_views_.end(),
-                   [&](const PilotView& pv) {
-                     return pv.pilot_id == pilot_id;
-                   });
-  vit->free_cores = rec.free_cores;
-}
-
 bool WorkloadManager::has_pilot(const std::string& pilot_id) const {
   return pilots_.find(pilot_id) != pilots_.end();
 }
@@ -187,11 +129,56 @@ void WorkloadManager::unqueue_tenant(const std::string& tenant) {
 }
 
 void WorkloadManager::enqueue_unit(const std::string& unit_id,
-                                   const ComputeUnitDescription& description) {
+                                   const ComputeUnitDescription& description,
+                                   int requeues) {
   PA_REQUIRE_ARG(description.cores > 0, "unit needs cores: " << unit_id);
   PA_REQUIRE_ARG(bound_.find(unit_id) == bound_.end(),
                  "unit already bound: " << unit_id);
+  if (requeues > 0) {
+    requeue_counts_[unit_id] = requeues;
+  }
   insert_queued(make_queued(unit_id, description), /*front=*/false);
+}
+
+std::vector<WorkloadManager::TakenUnit> WorkloadManager::take_queued_units(
+    int free_cores) {
+  std::vector<TakenUnit> taken;
+  const std::size_t scan = std::min(queue_.size(), kHandOverScan);
+  std::vector<char> take(scan, 0);
+  for (std::size_t i = 0; i < scan && free_cores > 0; ++i) {
+    if (queue_[i].cores <= free_cores) {
+      free_cores -= queue_[i].cores;
+      take[i] = 1;
+      taken.push_back(TakenUnit{queue_[i].unit_id,
+                                requeue_count(queue_[i].unit_id)});
+      requeue_counts_.erase(queue_[i].unit_id);
+    }
+  }
+  if (!taken.empty()) {
+    erase_taken(take);
+    dirty_ = true;  // a removed head may have been blocking a FIFO pass
+  }
+  return taken;
+}
+
+void WorkloadManager::erase_taken(const std::vector<char>& taken) {
+  // Compact the marked prefix only: shift its survivors toward the back
+  // (order kept), then drop the freed front slots. Units past the
+  // prefix are never touched.
+  std::size_t w = taken.size();
+  for (std::size_t r = taken.size(); r-- > 0;) {
+    if (taken[r]) {
+      unqueue_tenant(queue_[r].tenant);
+      continue;
+    }
+    if (--w != r) {
+      queue_[w] = std::move(queue_[r]);
+      queue_views_[w] = std::move(queue_views_[r]);
+    }
+  }
+  const auto freed = static_cast<std::ptrdiff_t>(w);
+  queue_.erase(queue_.begin(), queue_.begin() + freed);
+  queue_views_.erase(queue_views_.begin(), queue_views_.begin() + freed);
 }
 
 bool WorkloadManager::requeue_unit_front(
@@ -256,6 +243,26 @@ int WorkloadManager::total_free_cores() const {
     total += rec.free_cores;
   }
   return total;
+}
+
+int WorkloadManager::max_free_cores() const {
+  int most = 0;
+  for (const auto& [id, rec] : pilots_) {
+    most = std::max(most, rec.free_cores);
+  }
+  return most;
+}
+
+void WorkloadManager::set_metrics(obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) {
+    metrics_ = Instruments{};
+    return;
+  }
+  metrics_.passes = &metrics->counter("wm.schedule_passes");
+  metrics_.passes_skipped = &metrics->counter("wm.schedule_passes_skipped");
+  metrics_.units_assigned = &metrics->counter("wm.units_assigned");
+  metrics_.queued_units = &metrics->gauge("wm.queued_units");
+  metrics_.free_cores = &metrics->gauge("wm.free_cores");
 }
 
 void WorkloadManager::refresh_locality(UnitView& view, const QueuedUnit& unit,
@@ -341,14 +348,14 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
     // Nothing changed since the last pass. Time advancing alone never
     // enables a placement (remaining walltime only shrinks), so the
     // strategy would return exactly what it returned last time: nothing.
-    if (metrics_ != nullptr) {
-      metrics_->counter("wm.schedule_passes_skipped").inc();
+    if (metrics_.passes_skipped != nullptr) {
+      metrics_.passes_skipped->inc();
     }
     return {};
   }
   dirty_ = false;  // anything the pass itself changes, it already sees
-  if (metrics_ != nullptr) {
-    metrics_->counter("wm.schedule_passes").inc();
+  if (metrics_.passes != nullptr) {
+    metrics_.passes->inc();
   }
   if (queue_.empty() || pilots_.empty()) {
     return {};
@@ -431,23 +438,7 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
     accepted.push_back(a);
   }
   if (!accepted.empty()) {
-    // Compact the scanned prefix only: shift its survivors toward the
-    // back (order kept), then drop the freed front slots. Units past the
-    // deepest taken position are never touched.
-    std::size_t w = taken.size();
-    for (std::size_t r = taken.size(); r-- > 0;) {
-      if (taken[r]) {
-        unqueue_tenant(queue_[r].tenant);
-        continue;
-      }
-      if (--w != r) {
-        queue_[w] = std::move(queue_[r]);
-        queue_views_[w] = std::move(queue_views_[r]);
-      }
-    }
-    const auto freed = static_cast<std::ptrdiff_t>(w);
-    queue_.erase(queue_.begin(), queue_.begin() + freed);
-    queue_views_.erase(queue_views_.begin(), queue_views_.begin() + freed);
+    erase_taken(taken);
   }
   if (fair_share_ && !drr_deficit_.empty()) {
     // A tenant whose queue emptied starts fresh when it returns.
@@ -457,11 +448,10 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
                 : drr_deficit_.erase(dit);
     }
   }
-  if (metrics_ != nullptr) {
-    metrics_->counter("wm.units_assigned").inc(accepted.size());
-    metrics_->gauge("wm.queued_units")
-        .set(static_cast<double>(queue_.size()));
-    metrics_->gauge("wm.free_cores").set(total_free_cores());
+  if (metrics_.units_assigned != nullptr) {
+    metrics_.units_assigned->inc(accepted.size());
+    metrics_.queued_units->set(static_cast<double>(queue_.size()));
+    metrics_.free_cores->set(total_free_cores());
   }
   return accepted;
 }

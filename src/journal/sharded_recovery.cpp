@@ -72,8 +72,9 @@ ResumePlan merge_resume_plans(const std::vector<const ManagerImage*>& images) {
       if (core::is_final(pilot.state)) {
         m.terminal = true;  // terminal-wins across streams
       }
-      // The stream that journaled the most restarts saw the pilot last
-      // (a move re-journals the lineage's restart count on the target).
+      // The stream that journaled the most restarts holds the freshest
+      // description (pilots never change shard, so this only decides
+      // between copies of one stream).
       if (m.best == nullptr ||
           pilot.restarts_used > m.best->restarts_used) {
         m.best = &pilot;
@@ -93,8 +94,9 @@ ResumePlan merge_resume_plans(const std::vector<const ManagerImage*>& images) {
           unit.state == core::UnitState::kRunning) {
         m.in_flight = true;
       }
-      // Latest-attempt-wins: the adoption chain on a move target carries
-      // the unit's accumulated attempts, so >= prefers the later stream.
+      // Latest-attempt-wins: a unit requeued before its hand-over holds
+      // its attempts in the victim's stream; on a tie the later stream
+      // wins. Every stream journals the same description of a unit.
       if (m.best == nullptr || unit.attempts >= m.best->attempts) {
         m.best = &unit;
       }

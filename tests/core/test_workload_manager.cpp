@@ -498,32 +498,61 @@ TEST(WorkloadManagerFairShare, ZeroWeightTenantStillDrains) {
 }
 
 // ---------------------------------------------------------------------------
-// Detach/adopt (cross-shard pilot moves).
+// Hand-over (PENDING units move between shards).
 // ---------------------------------------------------------------------------
 
-TEST(WorkloadManager, DetachPilotCarriesBoundUnitsAndRequeueBudget) {
+TEST(WorkloadManager, TakeQueuedCarriesRequeueBudget) {
   WorkloadManager source(make_scheduler("fifo"));
   source.set_max_requeues(3);
-  source.add_pilot("p1", "s", 4, 0, 0.0, 1e9);
   source.requeue_unit_front("u1", unit_desc(2));  // one consumed requeue
   source.enqueue_unit("u2", unit_desc(1));
-  ASSERT_EQ(source.schedule_pass(0.0, nullptr).size(), 2u);
-  const auto detached = source.detach_pilot("p1");
-  ASSERT_EQ(detached.size(), 2u);
-  EXPECT_FALSE(source.has_pilot("p1"));
-  EXPECT_EQ(source.queued_units(), 0u);  // bound units travel, not requeue
+  const auto taken = source.take_queued_units(4);
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].unit_id, "u1");  // queue order
+  EXPECT_EQ(taken[0].requeues, 1);
+  EXPECT_EQ(taken[1].requeues, 0);
+  EXPECT_EQ(source.queued_units(), 0u);
+  EXPECT_EQ(source.requeue_count("u1"), 0);  // the budget left with it
 
   WorkloadManager target(make_scheduler("fifo"));
   target.set_max_requeues(3);
-  target.adopt_pilot("p1", "s", 4, 0, 0.0, 1e9, detached);
-  EXPECT_TRUE(target.has_pilot("p1"));
-  EXPECT_EQ(target.free_cores("p1"), 1);  // 4 - (2 + 1) re-reserved
-  EXPECT_EQ(target.bound_pilot("u1"), "p1");
-  // The consumed requeue budget survived the move: two more, not three.
+  for (const auto& t : taken) {
+    target.enqueue_unit(t.unit_id, unit_desc(1), t.requeues);
+  }
+  EXPECT_EQ(target.queued_unit_ids(),
+            (std::vector<std::string>{"u1", "u2"}));
+  // The consumed requeue budget survived the hand-over: two more, not
+  // three.
+  ASSERT_TRUE(target.remove_queued_unit("u2"));
+  target.add_pilot("p1", "s", 4, 0, 0.0, 1e9);
+  ASSERT_EQ(target.schedule_pass(0.0, nullptr).size(), 1u);
   target.remove_pilot("p1");
   EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
   EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
   EXPECT_FALSE(target.requeue_unit_front("u1", unit_desc(2)));
+}
+
+TEST(WorkloadManager, TakeQueuedTakesOnlyWhatFitsTheFreeCores) {
+  WorkloadManager wm(make_scheduler("fifo"));
+  wm.enqueue_unit("big", unit_desc(8));
+  wm.enqueue_unit("a", unit_desc(2));
+  wm.enqueue_unit("b", unit_desc(3));
+  wm.enqueue_unit("c", unit_desc(1));
+  wm.enqueue_unit("d", unit_desc(1));
+  // 4 free cores: "big" never fits and keeps its place; "a" (2) and "c"
+  // (1) and "d" (1) fill the budget, "b" (3) would overflow it.
+  const auto taken = wm.take_queued_units(4);
+  std::vector<std::string> ids;
+  for (const auto& t : taken) {
+    ids.push_back(t.unit_id);
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (std::vector<std::string>{"big", "b"}));
+  EXPECT_TRUE(wm.take_queued_units(0).empty());
+  // The survivors still schedule normally.
+  wm.add_pilot("p1", "s", 8, 0, 0.0, 1e9);
+  EXPECT_EQ(wm.schedule_pass(0.0, nullptr).size(), 1u);  // fifo: "big"
+  EXPECT_EQ(wm.max_free_cores(), 0);
 }
 
 

@@ -1,8 +1,8 @@
 /// Recovery across per-shard journal streams: directory discovery, the
-/// terminal-wins / latest-attempt-wins merge, a full round trip with a
-/// mid-run cross-shard pilot move, and crash-injection kills truncating
-/// every stream at independent random offsets with an exactly-once
-/// ledger across both lives.
+/// terminal-wins / latest-attempt-wins merge, a full round trip whose
+/// units are handed between shards mid-run, and crash-injection kills
+/// truncating every stream at independent random offsets with an
+/// exactly-once ledger across both lives.
 
 #include "pa/journal/sharded_recovery.h"
 
@@ -80,13 +80,13 @@ void submit_pilot(ManagerImage& img, const std::string& id) {
 }
 
 TEST(ShardedRecoveryMerge, TerminalInAnyStreamWins) {
-  // Source stream: the unit left mid-flight (records stop at kRunning).
+  // Victim stream: the unit's records stop mid-flight (at kRunning).
   ManagerImage source;
   submit_unit(source, "unit-1", 30.0);
   unit_state(source, "unit-1", core::UnitState::kPending);
   unit_state(source, "unit-1", core::UnitState::kScheduled);
   unit_state(source, "unit-1", core::UnitState::kRunning);
-  // Target stream: the adoption chain ran it to completion.
+  // Thief stream: the adoption chain ran it to completion.
   ManagerImage target;
   submit_unit(target, "unit-1", 30.0);
   unit_state(target, "unit-1", core::UnitState::kPending);
@@ -124,7 +124,7 @@ TEST(ShardedRecoveryMerge, MostAttemptsHoldsTheFreshestDescription) {
     EXPECT_DOUBLE_EQ(plan.units[0].second.duration, 5.0);
   }
 
-  // Equal attempts: the later stream is the adoption target and wins.
+  // Equal attempts: the later stream wins.
   ManagerImage c;
   submit_unit(c, "unit-2", 7.0);
   unit_state(c, "unit-2", core::UnitState::kPending);
@@ -150,7 +150,7 @@ TEST(ShardedRecoveryMerge, PilotSeenByBothStreamsResubmitsOnce) {
   ManagerImage source;
   submit_pilot(source, "pilot-0");
   ManagerImage target;
-  submit_pilot(target, "pilot-0");  // the move's adoption chain
+  submit_pilot(target, "pilot-0");  // e.g. a stream merged twice
   const ResumePlan plan = merge_resume_plans({&source, &target});
   EXPECT_EQ(plan.pilots.size(), 1u);
 }
@@ -191,8 +191,9 @@ struct ShardedSimWorld {
   }
 };
 
-/// Journals an eventful sharded run — one pilot per shard, a cross-shard
-/// pilot move mid-flight — and returns each closed wal's bytes.
+/// Journals an eventful sharded run — one pilot per shard, shard 1's pilot
+/// canceled mid-flight so its requeued units are handed to shard 0 — and
+/// returns each closed wal's bytes.
 std::vector<std::string> record_sharded_reference_run(
     const std::string& base) {
   ShardedSimWorld w;
@@ -206,8 +207,8 @@ std::vector<std::string> record_sharded_reference_run(
   }
   w.service->attach_journal_shards(sink_ptrs);
 
-  auto p1 = w.service->submit_pilot(w.pilot_desc(1));  // pilot-0 -> shard 0
-  w.service->submit_pilot(w.pilot_desc(1));            // pilot-1 -> shard 1
+  w.service->submit_pilot(w.pilot_desc(1));            // pilot-0 -> shard 0
+  auto p1 = w.service->submit_pilot(w.pilot_desc(1));  // pilot-1 -> shard 1
   for (int i = 0; i < 12; ++i) {
     core::ComputeUnitDescription d;
     d.cores = 1;
@@ -216,7 +217,7 @@ std::vector<std::string> record_sharded_reference_run(
   }
   p1.wait_active();
   w.engine.run_until(20.0);  // everything bound and running
-  w.service->move_pilot_to_shard(p1.id(), 1);
+  p1.cancel();  // shard 1's six units requeue; shard 0 takes them over
   w.engine.run_until(25.0);
   w.service->wait_all_units();
   w.service->attach_journal_shards(
@@ -248,6 +249,7 @@ TEST(ShardedRecovery, DirLayoutAndDiscovery) {
 }
 
 TEST(ShardedRecovery, RoundTripWithMidRunMoveCompletesEverything) {
+  // Units move between shards by hand-over (record_sharded_reference_run).
   TempDir base;
   const auto wals = record_sharded_reference_run(base.path());
   for (const auto& wal : wals) {
@@ -262,18 +264,74 @@ TEST(ShardedRecovery, RoundTripWithMidRunMoveCompletesEverything) {
       EXPECT_LE(unit.terminal_count, 1) << unit_id;
     }
   }
-  // The moved pilot appears in both streams; its records in the source
-  // stop at the departure, the target's adoption chain finishes the run.
-  EXPECT_GT(result.shards[1].image.units().size(), 6u)
-      << "move left no adopted units in the target stream";
+  // The handed-over units appear in both streams: shard 1's records stop
+  // at the requeue, shard 0's adoption chain finishes the run.
+  EXPECT_EQ(result.shards[0].image.units().size(), 12u)
+      << "no adopted units in the thief's stream";
+  EXPECT_EQ(result.shards[1].image.units().size(), 6u);
+  for (const auto& [unit_id, unit] : result.shards[1].image.units()) {
+    EXPECT_EQ(unit.state, core::UnitState::kPending) << unit_id;
+  }
 
   EXPECT_EQ(result.plan.completed_units.size(), 12u);
   EXPECT_TRUE(result.plan.units.empty());
-  // Both pilots stayed active to the end; the moved one merges to a
-  // single resubmission despite living in two streams.
-  EXPECT_EQ(result.plan.pilots.size(), 2u);
+  // pilot-0 stayed active to the end; pilot-1 was canceled.
+  EXPECT_EQ(result.plan.pilots.size(), 1u);
   EXPECT_EQ(result.plan.next_unit_ordinal, 12u);
   EXPECT_EQ(result.plan.next_pilot_ordinal, 2u);
+}
+
+TEST(ShardedRecovery, UnitHandedBackResumesItsOwnRecord) {
+  // unit-1 and unit-3 start on shard 1, run on shard 0's pilot, requeue
+  // when it is canceled and return to shard 1, whose stream already
+  // holds them: the return must not journal a second submission.
+  TempDir base;
+  {
+    ShardedSimWorld w;
+    std::vector<std::unique_ptr<Journal>> journals;
+    std::vector<std::unique_ptr<ServiceJournal>> sinks;
+    std::vector<core::JournalSink*> sink_ptrs;
+    for (int k = 0; k < ShardedSimWorld::kShards; ++k) {
+      journals.push_back(
+          std::make_unique<Journal>(shard_journal_dir(base.path(), k)));
+      sinks.push_back(std::make_unique<ServiceJournal>(*journals.back()));
+      sink_ptrs.push_back(sinks.back().get());
+    }
+    w.service->attach_journal_shards(sink_ptrs);
+    auto p0 = w.service->submit_pilot(w.pilot_desc(1));  // pilot-0 -> shard 0
+    p0.wait_active();
+    std::vector<core::ComputeUnit> units;
+    for (int i = 0; i < 4; ++i) {
+      core::ComputeUnitDescription d;
+      d.cores = 1;
+      d.duration = 100.0;
+      units.push_back(w.service->submit_unit(d));
+    }
+    EXPECT_EQ(w.service->shard_of("unit-1"), 0);
+    auto p1 = w.service->submit_pilot(w.pilot_desc(1));  // pilot-1 -> shard 1
+    p1.wait_active();
+    p0.cancel();
+    w.service->wait_all_units();
+    for (const auto& u : units) {
+      EXPECT_EQ(u.state(), core::UnitState::kDone) << u.id();
+      EXPECT_EQ(w.service->shard_of(u.id()), 1) << u.id();
+    }
+    w.service->attach_journal_shards(
+        std::vector<core::JournalSink*>(ShardedSimWorld::kShards, nullptr));
+    for (auto& j : journals) {
+      j->flush();
+      j->close();
+    }
+  }
+  const ShardedRecoveryResult result = recover_sharded(base.path());
+  ASSERT_EQ(result.shards.size(), 2u);
+  EXPECT_EQ(result.shards[1].image.units().size(), 4u);
+  for (const auto& [unit_id, unit] : result.shards[1].image.units()) {
+    EXPECT_EQ(unit.state, core::UnitState::kDone) << unit_id;
+    EXPECT_EQ(unit.terminal_count, 1) << unit_id;
+  }
+  EXPECT_EQ(result.plan.completed_units.size(), 4u);
+  EXPECT_TRUE(result.plan.units.empty());
 }
 
 /// One kill point: install independent wal prefixes as the crashed
@@ -314,12 +372,9 @@ void run_sharded_kill_point(const std::string& wal0, const std::string& wal1,
         << journaled_id << " re-ran despite a surviving terminal record";
   }
   if (!plan.units.empty()) {
-    // Resumed units land on shards by their own ordinals, and a shard
-    // only dispatches onto its local pilots — the truncated plan may
-    // cover one shard only, so guarantee capacity on every shard.
-    for (int s = 0; s < ShardedSimWorld::kShards; ++s) {
-      w2.service->submit_pilot(w2.pilot_desc());
-    }
+    // The truncated plan may resubmit no pilot at all; one pilot serves
+    // the units of every shard (they are handed to its shard).
+    w2.service->submit_pilot(w2.pilot_desc());
     w2.service->wait_all_units();
   }
   std::size_t terminal_total = completed.size();

@@ -85,21 +85,6 @@ class CommandsPass(unittest.TestCase):
         self.assertTrue(
             any("not the wait-free post shape" in m for m in msgs), msgs)
 
-    def test_forward_envelope_clean_fixture_has_no_findings(self):
-        # Envelope carries target_shard + hops; handler re-dispatches
-        # through apply_command.
-        self.assertEqual(run_pass(commands, "commands_forward_clean"), [])
-
-    def test_missing_hop_cap_is_flagged(self):
-        msgs = messages(run_pass(commands, "commands_forward_bad"))
-        self.assertTrue(
-            any("lacks the `hops` field" in m for m in msgs), msgs)
-
-    def test_forward_handler_bypassing_dispatch_is_flagged(self):
-        msgs = messages(run_pass(commands, "commands_forward_bad"))
-        self.assertTrue(
-            any("does not re-dispatch" in m for m in msgs), msgs)
-
 
 class MetricsPass(unittest.TestCase):
     def test_clean_fixture_has_no_findings(self):

@@ -39,12 +39,14 @@ Five disciplines, each enforced mechanically because each has burned us
     in src/core is a wait-free `ctrl_->post(<command>)`; middleware
     logic happens when the apply thread handles the command.
 
- 5b. Cross-shard traffic rides forward envelopes. The sharded control
-    plane's invariant is that a shard's state is only ever touched by
-    its own apply thread; the facade routes, the shard engine forwards.
-    Code outside the sharding layer that names a ServiceShard or calls
-    post_forward() directly has reached around that routing and can
-    deliver a command to a shard that does not own the entity.
+ 5b. Cross-shard traffic stays inside the sharding layer. The sharded
+    control plane's invariant is that a shard's state is only ever
+    touched by its own apply thread, and the only traffic between shards
+    is the PENDING-unit hand-over, which the shard engine posts with
+    post_forward() (it skips backpressure, so a peer apply thread never
+    blocks on another shard's bound). Code outside that layer that names
+    a ServiceShard or calls post_forward() has reached around the facade
+    and can deliver a command to a shard that does not own the entity.
 
  6. Store transport confinement. The data plane (pa::store) speaks
     net::Message and paces itself with the BatchFlusher, but never sees a
@@ -283,7 +285,7 @@ def lint_file(rel: str, text: str) -> list[tuple[int, str]]:
                     f"cross-shard access `{m.group(0).strip()}` outside the "
                     f"sharding layer — shard state belongs to its own apply "
                     f"thread; go through the PilotComputeService facade and "
-                    f"let the shard engine build forward envelopes",
+                    f"let the shard engine hand units over",
                 ))
 
         if rel.startswith(STORE_SCOPE):

@@ -14,12 +14,6 @@ pass closes the loop:
     non-member;
   * every command is constructed somewhere outside command.h — a
     command nobody posts is dead vocabulary;
-  * when the taxonomy carries the cross-shard CmdForward envelope, the
-    envelope is well-formed: it names its destination (`target_shard`)
-    and carries a hop cap (`hops`) so forwarding cannot loop between
-    shards forever, and its apply handler re-dispatches the inner
-    command through `apply_command(...)` so forwarded commands hit the
-    same handler table as locally-posted ones;
   * every runtime callback body in src/core is the lint-rule-5 shape,
     checked structurally rather than by regex: the body may contain only
     wait-free `...->post(...)` statements, bare `return`s, and guard
@@ -210,39 +204,6 @@ def run(index: Index) -> list[Finding]:
                 rel, line, PASS,
                 f"handler for {name} exists but the command is not in "
                 f"the Command variant — dead handler"))
-
-    # --- forward envelope (sharded control plane) ------------------------
-    # Gated on CmdForward membership: a taxonomy without the envelope has
-    # no cross-shard routing to validate.
-    if "CmdForward" in vset and "CmdForward" in structs:
-        sm = re.search(r"struct\s+CmdForward\b[^{;]*\{", header.code)
-        if sm is not None:
-            body_open = sm.end() - 1
-            body = header.code[
-                body_open:match_brace(header.code, body_open) + 1]
-            for field in ("target_shard", "hops"):
-                if re.search(rf"\b{field}\b", body) is None:
-                    findings.append(Finding(
-                        COMMAND_HEADER, structs["CmdForward"], PASS,
-                        f"CmdForward lacks the `{field}` field — the "
-                        f"envelope must carry its destination and a hop "
-                        f"cap, or forwarded commands can loop between "
-                        f"shards forever"))
-        if "CmdForward" in handlers:
-            hrel, hline = handlers["CmdForward"]
-            hsf = index.get(hrel)
-            hm = re.search(
-                r"::\s*apply\s*\(\s*(?:const\s+)?cmd::CmdForward\s*&"
-                r"[^{;]*\{", hsf.code)
-            if hm is not None:
-                hopen = hm.end() - 1
-                hbody = hsf.code[hopen:match_brace(hsf.code, hopen) + 1]
-                if "apply_command(" not in hbody:
-                    findings.append(Finding(
-                        hrel, hline, PASS,
-                        "the CmdForward handler does not re-dispatch via "
-                        "apply_command(...) — the unwrapped inner command "
-                        "would bypass the shard's own handler table"))
 
     # --- every command is constructed somewhere -------------------------
     constructed: set[str] = set()
