@@ -350,6 +350,7 @@ class ControlPlane {
   void consume_loop() {
     applier_.store(std::this_thread::get_id(), std::memory_order_release);
     std::vector<std::shared_ptr<Waiter>> batch_waiters;
+    bool ticked = false;  // the last wait timed out
     while (true) {
       Envelope env;
       std::size_t popped = 0;
@@ -359,11 +360,23 @@ class ControlPlane {
       }
       if (popped > 0) {
         depth_.fetch_sub(popped, std::memory_order_relaxed);
+      } else if (!ticked) {
+        if (depth_.load(std::memory_order_relaxed) > 0) {
+          // A producer counted its command but has not finished the
+          // push: wait for it instead of running an empty batch end.
+          std::this_thread::yield();
+          continue;
+        }
       }
-      // Batch end runs on the timer tick too (popped == 0): that is the
-      // event-loop home of periodic schedule passes, which the workload
-      // manager's dirty flag turns into a no-op when nothing changed.
-      run_batch_end();
+      // Batch end runs after every batch and on a timer tick (a wait
+      // that timed out): that is the event-loop home of periodic
+      // schedule passes, which the workload manager's dirty flag turns
+      // into a no-op when nothing changed. An empty pop after a wakeup
+      // runs none.
+      if (popped > 0 || ticked) {
+        run_batch_end();
+      }
+      ticked = false;
       if (popped > 0 && batches_ != nullptr) {
         batches_->inc();
       }
@@ -385,7 +398,7 @@ class ControlPlane {
       }
       sleeping_.store(true, std::memory_order_seq_cst);
       if (depth_.load(std::memory_order_seq_cst) == 0 && !stopping_) {
-        consumer_cv_.wait_for(lock, options_.idle_wait_seconds);
+        ticked = !consumer_cv_.wait_for(lock, options_.idle_wait_seconds);
       }
       sleeping_.store(false, std::memory_order_relaxed);
     }

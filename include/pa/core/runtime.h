@@ -11,10 +11,21 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "pa/core/types.h"
 
 namespace pa::core {
+
+/// One unit of a batched launch (`Runtime::execute_units`). The
+/// description is the middleware's own record; it stays valid for the
+/// duration of the call, and the runtime copies what it keeps.
+struct UnitLaunch {
+  std::string unit_id;
+  const ComputeUnitDescription* description = nullptr;
+  std::function<void(bool success)> on_done;
+};
 
 /// Callbacks the middleware registers when launching a pilot.
 struct PilotRuntimeCallbacks {
@@ -51,6 +62,27 @@ class Runtime {
                             const ComputeUnitDescription& description,
                             const std::string& unit_id,
                             std::function<void(bool success)> on_done) = 0;
+
+  /// Runs several units on one pilot, each exactly as `execute_unit`
+  /// would. The default launches them one at a time. A runtime that
+  /// overrides it to ship the whole batch at once says so through
+  /// `batches_launches()`; such an override drops the launches of a pilot
+  /// it no longer knows instead of throwing, because that pilot's
+  /// termination requeues them.
+  virtual void execute_units(const std::string& pilot_id,
+                             std::vector<UnitLaunch> launches) {
+    for (UnitLaunch& launch : launches) {
+      execute_unit(pilot_id, *launch.description, launch.unit_id,
+                   std::move(launch.on_done));
+    }
+  }
+
+  /// True when `execute_units` costs less than the same launches one at
+  /// a time (one lock hold and one wire frame per batch). The service
+  /// then collects each schedule pass's launches per pilot and hands them
+  /// over at the end of the pass; otherwise it launches every unit the
+  /// moment it binds it.
+  virtual bool batches_launches() const { return false; }
 
   /// Current time on this runtime's clock (simulated or wall seconds).
   virtual double now() const = 0;

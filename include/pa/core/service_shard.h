@@ -45,6 +45,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pa/check/mutex.h"
@@ -211,6 +212,9 @@ class ServiceShard {
 
   Runtime& runtime_;
   const int index_;
+  /// `runtime_.batches_launches()`: launches wait in `launches_` for the
+  /// end of the schedule pass instead of going out one by one at bind.
+  const bool batch_launches_;
 
   // ---- apply-confined state (single writer, no lock) ----
   WorkloadManager workload_;
@@ -227,6 +231,9 @@ class ServiceShard {
   std::map<std::string, UnitRecord> units_;
   std::set<std::string> dirty_pilots_;
   std::set<std::string> dirty_units_;
+  /// This pass's launches grouped by pilot (batching runtimes only);
+  /// handed to the runtime and emptied at the end of every pass.
+  std::vector<std::pair<std::string, std::vector<UnitLaunch>>> launches_;
   /// Units handed away this batch: publish erases them from the read
   /// model (fixing the unfinished count) before flushing dirty sets.
   std::set<std::string> removed_units_;

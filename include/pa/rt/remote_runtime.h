@@ -57,11 +57,13 @@ class StoreManager;
 namespace pa::rt {
 
 /// Thread-safe unit_id -> work-closure map shared between the manager
-/// and in-process agents. The manager re-puts on every execute_unit, so
+/// and in-process agents. The manager re-puts on every launch, so
 /// requeued units resolve their payload again on the retry.
 class PayloadTable {
  public:
-  void put(const std::string& unit_id, std::function<void()> work);
+  /// Parks the work closure of every launch that has one, under one
+  /// lock hold.
+  void put(const std::vector<core::UnitLaunch>& launches);
   /// Removes and returns the closure, or an empty function when absent
   /// (agent falls back to duration burn).
   std::function<void()> take(const std::string& unit_id);
@@ -301,8 +303,9 @@ struct RemoteRuntimeConfig {
   /// Dead after `heartbeat_interval_seconds * heartbeat_miss_limit`
   /// without an ack (or any other sign of life).
   int heartbeat_miss_limit = 4;
-  /// Unit-dispatch flusher (group-commit batching of queued units into
-  /// kUnitBatch frames).
+  /// Unit-dispatch flusher (group-commit batching of queued launches
+  /// into kUnitBatch frames). Its `max_batch` also caps the units in one
+  /// frame.
   net::BatchFlusherConfig flusher;
   /// Required: how pilots become agents.
   AgentLauncher launcher;
@@ -346,10 +349,18 @@ class RemoteRuntime : public core::Runtime {
                    const core::PilotDescription& description,
                    core::PilotRuntimeCallbacks callbacks) override;
   void cancel_pilot(const std::string& pilot_id) override;
+  /// Throws pa::NotFound for a pilot this runtime does not know.
   void execute_unit(const std::string& pilot_id,
                     const core::ComputeUnitDescription& description,
                     const std::string& unit_id,
                     std::function<void(bool)> on_done) override;
+  /// One lock hold registers every completion and one kUnitBatch message
+  /// carries every unit to the dispatch flusher. The launches of a pilot
+  /// this runtime no longer knows are dropped: its termination, already
+  /// posted to the service, requeues them.
+  void execute_units(const std::string& pilot_id,
+                     std::vector<core::UnitLaunch> launches) override;
+  bool batches_launches() const override { return true; }
   double now() const override;
   void drive_until(const std::function<bool()>& predicate,
                    double timeout_seconds) override;
@@ -367,25 +378,49 @@ class RemoteRuntime : public core::Runtime {
     /// this pilot as a transfer source.
     std::string peer_endpoint;
     /// Max units per kUnitBatch frame; halves on transport reject so
-    /// oversized frames shrink until they fit, doubles on success.
+    /// oversized frames shrink until they fit (a pass is then split
+    /// across frames), doubles on success up to the flusher's max_batch.
     std::size_t flush_cap = 0;
     std::map<std::string, std::function<void(bool)>> inflight;
   };
 
+  /// Pre-resolved instrument handles of the net.* series the manager
+  /// records (all null without a registry), so no message path looks a
+  /// series up by name.
+  struct Instruments {
+    obs::Counter* units_done = nullptr;
+    obs::Counter* send_rejected = nullptr;
+    obs::Counter* heartbeat_deaths = nullptr;
+    obs::Histogram* heartbeat_rtt = nullptr;
+    obs::Gauge* bytes_in = nullptr;
+    obs::Gauge* bytes_out = nullptr;
+    obs::Gauge* send_queue_hwm = nullptr;
+    obs::Gauge* reconnects = nullptr;
+    obs::Gauge* dispatch_inflight = nullptr;
+    obs::Gauge* dispatch_pending = nullptr;
+  };
+  static Instruments resolve_instruments(obs::MetricsRegistry* metrics);
+
+  /// Registers the launches' completions and queues one kUnitBatch
+  /// message for them; false (nothing queued) when the pilot is unknown.
+  bool launch(const std::string& pilot_id,
+              std::vector<core::UnitLaunch>& launches);
   void handle_message(const std::weak_ptr<net::Connection>& from,
                       const std::string& payload);
   void heartbeat_loop();
   bool send_on(const net::ConnectionPtr& conn, net::Message message);
-  /// Dispatch sink: groups the queued one-unit kUnitBatch items by pilot,
-  /// merges each pilot's run into kUnitBatch frames of at most flush_cap
-  /// units, and gathers them into the agent's connection. Returns what could not ship yet (no connection,
-  /// transport reject) for retry. The service binds at most the agent's
-  /// announced queue capacity to a pilot, so everything queued for it
-  /// fits the agent.
+  /// Dispatch sink: merges the queued kUnitBatch messages into one run of
+  /// units per pilot and gathers each run into the agent's connection in
+  /// frames of at most flush_cap units. Returns what could not ship yet
+  /// (no connection, transport reject) as one message per pilot, for
+  /// retry; a rejected frame shrinks flush_cap, so the retry splits the
+  /// run finer. The service binds at most the agent's announced queue
+  /// capacity to a pilot, so everything queued for it fits the agent.
   std::vector<net::Message> dispatch(std::vector<net::Message> batch,
                                      net::FlushReason reason);
 
   RemoteRuntimeConfig config_;
+  const Instruments metrics_;
   net::Transport& transport_;
   std::string endpoint_;
   /// Attached data plane (null = no store). Atomic because delivery and

@@ -1,5 +1,6 @@
 #include "pa/core/service_shard.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -15,6 +16,7 @@ ServiceShard::ServiceShard(Runtime& runtime, int index,
                            std::function<std::string()> next_pilot_id)
     : runtime_(runtime),
       index_(index),
+      batch_launches_(runtime.batches_launches()),
       workload_(make_scheduler(scheduler_policy)),
       router_(router),
       shut_down_(shut_down),
@@ -326,8 +328,9 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
                  "service is shut down");
   PA_REQUIRE_ARG(c.description.cores > 0, "unit needs cores");
   const std::string& unit_id = c.unit_id;
-  UnitRecord rec;
-  rec.description = c.description;
+  auto [uit, inserted] = units_.try_emplace(unit_id);
+  PA_CHECK(inserted);
+  UnitRecord& rec = uit->second;
   rec.tenant = tenant_of(c.description);
   rec.times.submitted = runtime_.now();
   if (!first_submit_recorded_) {
@@ -335,18 +338,18 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
     check::MutexLock lock(snapshot_mutex_);
     model_.metrics.first_submit_time = rec.times.submitted;
   }
-  auto [uit, inserted] = units_.emplace(unit_id, std::move(rec));
-  PA_CHECK(inserted);
   if (journal_ != nullptr) {
-    journal_->unit_submitted(unit_id, c.description,
-                             uit->second.times.submitted);
+    journal_->unit_submitted(unit_id, c.description, rec.times.submitted);
   }
-  uit->second.sm.observe(make_unit_observer(unit_id));
+  // The command is spent: move the description (its work closure, data
+  // lists and attributes) into the record instead of copying it.
+  rec.description = std::move(c.description);
+  rec.sm.observe(make_unit_observer(unit_id));
   if (instruments_.units_submitted != nullptr) {
     instruments_.units_submitted->inc();
   }
-  uit->second.sm.transition(UnitState::kPending);
-  workload_.enqueue_unit(unit_id, c.description);
+  rec.sm.transition(UnitState::kPending);
+  workload_.enqueue_unit(unit_id, rec.description);
 }
 
 void ServiceShard::run_schedule_cycle() {
@@ -357,6 +360,13 @@ void ServiceShard::run_schedule_cycle() {
   for (const auto& a : assignments) {
     dispatch_unit_apply(a.unit_id, a.pilot_id);
   }
+  // Every unit is bound and RUNNING; a batching runtime now gets each
+  // pilot's share of the pass (and of this batch's stage-in completions)
+  // in one call.
+  for (auto& [pilot_id, launches] : launches_) {
+    runtime_.execute_units(pilot_id, std::move(launches));
+  }
+  launches_.clear();
 }
 
 void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
@@ -425,11 +435,28 @@ void ServiceShard::execute_unit_apply(const std::string& unit_id) {
   // Tag the completion with the attempt number so a stale completion from
   // a terminated pilot cannot be mistaken for a later re-run's.
   const int attempt = unit.attempts;
-  runtime_.execute_unit(unit.pilot_id, unit.description, unit_id,
-                        [this, unit_id, attempt](bool success) {
-                          ctrl_->post(cmd::Command{
-                              cmd::CmdUnitDone{unit_id, success, attempt}});
-                        });
+  UnitLaunch launch{unit_id, &unit.description,
+                    [this, unit_id, attempt](bool success) {
+                      ctrl_->post(cmd::Command{
+                          cmd::CmdUnitDone{unit_id, success, attempt}});
+                    }};
+  if (!batch_launches_) {
+    // Launch at bind: a runtime that gains nothing from a batch keeps
+    // its per-unit timing.
+    runtime_.execute_unit(unit.pilot_id, unit.description, unit_id,
+                          std::move(launch.on_done));
+    return;
+  }
+  // Bound units of one pass run on few pilots, so a linear scan from
+  // the most recent pilot finds its group at once.
+  auto group = std::find_if(
+      launches_.rbegin(), launches_.rend(),
+      [&unit](const auto& g) { return g.first == unit.pilot_id; });
+  if (group == launches_.rend()) {
+    launches_.emplace_back(unit.pilot_id, std::vector<UnitLaunch>{});
+    group = launches_.rbegin();
+  }
+  group->second.push_back(std::move(launch));
 }
 
 void ServiceShard::apply(cmd::CmdUnitDone& c) {
@@ -554,7 +581,11 @@ void ServiceShard::apply(cmd::CmdAttachObservability& c) {
   tracer_ = c.tracer;
   obs_metrics_ = c.metrics;
   workload_.set_metrics(c.metrics);
-  ctrl_->set_metrics(c.metrics, "s" + std::to_string(index_));
+  // Appended, not `"s" + std::to_string(...)`: GCC 12's inliner warns
+  // -Wrestrict on the operator+ overload (a false positive).
+  std::string label = "s";
+  label += std::to_string(index_);
+  ctrl_->set_metrics(c.metrics, std::move(label));
   obs::MetricsRegistry* m = c.metrics;
   if (m == nullptr) {
     instruments_ = Instruments{};

@@ -51,7 +51,11 @@ std::vector<std::string> generate_text_corpus(std::size_t lines,
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
     const std::size_t rank =
         static_cast<std::size_t>(std::distance(cdf.begin(), it));
-    return "w" + std::to_string(rank);
+    // Appended rather than `"w" + ...`, which GCC 12 flags with a false
+    // -Wrestrict warning.
+    std::string word = "w";
+    word += std::to_string(rank);
+    return word;
   };
   std::vector<std::string> corpus;
   corpus.reserve(lines);

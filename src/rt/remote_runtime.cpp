@@ -19,9 +19,13 @@ namespace pa::rt {
 
 // --- PayloadTable ------------------------------------------------------------
 
-void PayloadTable::put(const std::string& unit_id, std::function<void()> work) {
+void PayloadTable::put(const std::vector<core::UnitLaunch>& launches) {
   check::MutexLock lock(mutex_);
-  work_[unit_id] = std::move(work);
+  for (const core::UnitLaunch& launch : launches) {
+    if (launch.description->work) {
+      work_[launch.unit_id] = launch.description->work;
+    }
+  }
 }
 
 std::function<void()> PayloadTable::take(const std::string& unit_id) {
@@ -616,9 +620,28 @@ void AgentEndpoint::handle_message(const std::string& payload) {
 
 // --- RemoteRuntime -----------------------------------------------------------
 
+RemoteRuntime::Instruments RemoteRuntime::resolve_instruments(
+    obs::MetricsRegistry* m) {
+  Instruments h;
+  if (m != nullptr) {
+    h.units_done = &m->counter("net.units_done");
+    h.send_rejected = &m->counter("net.send_rejected");
+    h.heartbeat_deaths = &m->counter("net.heartbeat_deaths");
+    h.heartbeat_rtt = &m->histogram("net.heartbeat_rtt_seconds", 1e-7, 60.0);
+    h.bytes_in = &m->gauge("net.manager_bytes_in");
+    h.bytes_out = &m->gauge("net.manager_bytes_out");
+    h.send_queue_hwm = &m->gauge("net.send_queue_hwm");
+    h.reconnects = &m->gauge("net.reconnects");
+    h.dispatch_inflight = &m->gauge("net.dispatch_inflight");
+    h.dispatch_pending = &m->gauge("net.dispatch_pending");
+  }
+  return h;
+}
+
 RemoteRuntime::RemoteRuntime(net::Transport& transport,
                              RemoteRuntimeConfig config)
     : config_(std::move(config)),
+      metrics_(resolve_instruments(config_.metrics)),
       transport_(transport),
       epoch_(pa::wall_seconds()) {
   PA_REQUIRE_ARG(config_.launcher != nullptr,
@@ -751,8 +774,8 @@ bool RemoteRuntime::send_on(const net::ConnectionPtr& conn,
   std::string frame;
   net::append_message_frame(frame, message);
   const bool accepted = conn->send(std::move(frame));
-  if (!accepted && config_.metrics != nullptr) {
-    config_.metrics->counter("net.send_rejected").inc();
+  if (!accepted && metrics_.send_rejected != nullptr) {
+    metrics_.send_rejected->inc();
   }
   return accepted;
 }
@@ -820,134 +843,145 @@ void RemoteRuntime::execute_unit(const std::string& pilot_id,
                                  const core::ComputeUnitDescription& description,
                                  const std::string& unit_id,
                                  std::function<void(bool)> on_done) {
-  net::Message m;
-  m.type = net::MessageType::kUnitBatch;
-  m.pilot_id = pilot_id;
-  m.units.push_back(
-      net::to_wire_unit(unit_id, description, description.work != nullptr));
+  std::vector<core::UnitLaunch> one;
+  one.push_back(core::UnitLaunch{unit_id, &description, std::move(on_done)});
+  if (!launch(pilot_id, one)) {
+    throw NotFound("unknown pilot: " + pilot_id);
+  }
+}
+
+void RemoteRuntime::execute_units(const std::string& pilot_id,
+                                  std::vector<core::UnitLaunch> launches) {
+  (void)launch(pilot_id, launches);
+}
+
+bool RemoteRuntime::launch(const std::string& pilot_id,
+                           std::vector<core::UnitLaunch>& launches) {
+  if (launches.empty()) {
+    return true;
+  }
   {
     check::MutexLock lock(mutex_);
     const auto it = pilots_.find(pilot_id);
     if (it == pilots_.end()) {
-      throw NotFound("unknown pilot: " + pilot_id);
+      return false;
     }
-    it->second->inflight[unit_id] = std::move(on_done);
+    auto& inflight = it->second->inflight;
+    for (core::UnitLaunch& l : launches) {
+      inflight[l.unit_id] = std::move(l.on_done);
+    }
   }
-  if (description.work) {
-    // Park the closure BEFORE the message can arrive; re-put on every
-    // attempt so requeued units resolve again.
-    payloads_->put(unit_id, description.work);
+  net::Message m;
+  m.type = net::MessageType::kUnitBatch;
+  m.pilot_id = pilot_id;
+  m.units.reserve(launches.size());
+  for (const core::UnitLaunch& l : launches) {
+    const core::ComputeUnitDescription& d = *l.description;
+    m.units.push_back(net::to_wire_unit(l.unit_id, d, d.work != nullptr));
   }
-  if (!description.input_data.empty()) {
-    // Overlap stage-in with the dispatch round-trip: start moving the
+  // Park the closures BEFORE the message can arrive; re-put on every
+  // attempt so requeued units resolve again.
+  payloads_->put(launches);
+  if (store::StoreManager* s = store_.load()) {
+    // Overlap stage-in with the dispatch round-trip: start moving each
     // unit's declared inputs toward the pilot's shard now (no locks held;
     // ids the store doesn't manage are skipped).
-    if (store::StoreManager* s = store_.load()) {
-      s->prefetch(pilot_id, description.input_data);
+    for (const core::UnitLaunch& l : launches) {
+      if (!l.description->input_data.empty()) {
+        s->prefetch(pilot_id, l.description->input_data);
+      }
     }
   }
-  // The hot path ends here: the dispatch flusher merges the queued
-  // one-unit batches into kUnitBatch frames. Pushed with mutex_ released —
-  // the flusher lock ranks below ours.
+  // The hot path ends here: the dispatch flusher frames the queued
+  // messages. Pushed with mutex_ released — the flusher lock ranks below
+  // ours.
   dispatch_->push(std::move(m));
+  return true;
 }
 
 std::vector<net::Message> RemoteRuntime::dispatch(
     std::vector<net::Message> batch, net::FlushReason /*reason*/) {
-  // Group by pilot, preserving per-pilot order (cross-pilot order carries
-  // no meaning — each pilot has its own stream).
-  std::vector<std::pair<std::string, std::vector<net::Message>>> groups;
-  for (auto& m : batch) {
-    auto it = std::find_if(
-        groups.begin(), groups.end(),
-        [&](const auto& g) { return g.first == m.pilot_id; });
-    if (it == groups.end()) {
-      groups.emplace_back(m.pilot_id, std::vector<net::Message>{});
-      it = std::prev(groups.end());
+  // One run of units per pilot, per-pilot order preserved (cross-pilot
+  // order carries no meaning — each pilot has its own stream).
+  std::vector<net::Message> runs;
+  for (net::Message& m : batch) {
+    const auto it = std::find_if(
+        runs.begin(), runs.end(),
+        [&m](const net::Message& r) { return r.pilot_id == m.pilot_id; });
+    if (it == runs.end()) {
+      runs.push_back(std::move(m));
+    } else {
+      std::move(m.units.begin(), m.units.end(),
+                std::back_inserter(it->units));
     }
-    it->second.push_back(std::move(m));
   }
 
+  const std::size_t max_cap =
+      std::max<std::size_t>(1, config_.flusher.max_batch);
   std::vector<net::Message> retained;
-  for (auto& [pilot_id, msgs] : groups) {
-    std::size_t i = 0;
-    bool drop_rest = false;
-    while (i < msgs.size()) {
+  for (net::Message& run : runs) {
+    std::size_t shipped = 0;
+    bool pilot_gone = false;
+    while (shipped < run.units.size()) {
       net::ConnectionPtr conn;
-      std::size_t take = 0;
       std::size_t cap = 1;
-      net::Message b;  // the merged kUnitBatch frame
-      arena_.clear();
+      net::Message frame;
       {
         check::MutexLock lock(mutex_);
-        const auto it = pilots_.find(pilot_id);
+        const auto it = pilots_.find(run.pilot_id);
         if (it == pilots_.end()) {
           // Pilot cancelled or failed: its in-flight attempts already
           // belong to the service's orphan requeue; dropping the stale
           // dispatches is the correct end state.
-          drop_rest = true;
-        } else {
-          auto& entry = *it->second;
-          conn = entry.conn;
-          cap = std::max<std::size_t>(1, entry.flush_cap);
-          if (conn != nullptr) {
-            take = std::min(msgs.size() - i, cap);
-          }
-          if (take > 0) {
-            b.type = net::MessageType::kUnitBatch;
-            b.pilot_id = pilot_id;
-            b.seq = entry.seq++;
-            b.units.reserve(take);
-            for (std::size_t j = 0; j < take; ++j) {
-              for (net::WireUnitDescription& u : msgs[i + j].units) {
-                b.units.push_back(std::move(u));
-              }
-            }
-            net::append_message_frame(arena_, b);
-          }
+          pilot_gone = true;
+          break;
+        }
+        PilotEntry& entry = *it->second;
+        if (entry.conn == nullptr) {
+          break;  // retained until the agent's kHello
+        }
+        conn = entry.conn;
+        cap = entry.flush_cap;
+        frame.seq = entry.seq++;
+      }
+      // A frame takes the next `cap` units of the run, so one message
+      // (a whole schedule pass) splits across frames when it must.
+      const std::size_t take = std::min(run.units.size() - shipped, cap);
+      const auto first =
+          run.units.begin() + static_cast<std::ptrdiff_t>(shipped);
+      const auto last = first + static_cast<std::ptrdiff_t>(take);
+      frame.type = net::MessageType::kUnitBatch;
+      frame.pilot_id = run.pilot_id;
+      frame.units.assign(std::make_move_iterator(first),
+                         std::make_move_iterator(last));
+      arena_.clear();
+      net::append_message_frame(arena_, frame);
+      const bool sent = conn->send_gather(arena_, 1);
+      const std::size_t next_cap = sent ? std::min(cap * 2, max_cap)
+                                        : std::max<std::size_t>(1, cap / 2);
+      if (next_cap != cap) {
+        check::MutexLock lock(mutex_);
+        const auto it = pilots_.find(run.pilot_id);
+        if (it != pilots_.end()) {
+          it->second->flush_cap = next_cap;
         }
       }
-      if (drop_rest || take == 0) {
-        break;  // drop, or retain msgs[i..) below (no conn)
+      if (!sent) {
+        if (metrics_.send_rejected != nullptr) {
+          metrics_.send_rejected->inc();
+        }
+        // Move the units back so the retry re-encodes them (seq gaps
+        // from rejected frames are harmless).
+        std::move(frame.units.begin(), frame.units.end(), first);
+        break;
       }
-      if (conn->send_gather(arena_, 1)) {
-        {
-          check::MutexLock lock(mutex_);
-          const auto it = pilots_.find(pilot_id);
-          if (it != pilots_.end()) {
-            it->second->flush_cap = std::min(
-                cap * 2, std::max<std::size_t>(1, config_.flusher.max_batch));
-          }
-        }
-        i += take;
-      } else {
-        if (config_.metrics != nullptr) {
-          config_.metrics->counter("net.send_rejected").inc();
-        }
-        {
-          check::MutexLock lock(mutex_);
-          const auto it = pilots_.find(pilot_id);
-          if (it != pilots_.end()) {
-            // Nothing shipped: shrink the next frame until it fits the
-            // send queue.
-            it->second->flush_cap = cap > 1 ? cap / 2 : 1;
-          }
-        }
-        // The units were moved into the rejected frame; move them back
-        // so the retry re-encodes them.
-        auto next = b.units.begin();
-        for (std::size_t j = 0; j < take; ++j) {
-          for (net::WireUnitDescription& u : msgs[i + j].units) {
-            u = std::move(*next++);
-          }
-        }
-        break;  // retain msgs[i..)
-      }
+      shipped += take;
     }
-    if (!drop_rest) {
-      for (std::size_t j = i; j < msgs.size(); ++j) {
-        retained.push_back(std::move(msgs[j]));
-      }
+    if (!pilot_gone && shipped < run.units.size()) {
+      const auto unsent =
+          run.units.begin() + static_cast<std::ptrdiff_t>(shipped);
+      run.units.erase(run.units.begin(), unsent);
+      retained.push_back(std::move(run));
     }
   }
   return retained;
@@ -1119,9 +1153,8 @@ void RemoteRuntime::handle_message(
           }
         }
       }
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("net.units_done")
-            .inc(m.completions.size());
+      if (metrics_.units_done != nullptr) {
+        metrics_.units_done->inc(m.completions.size());
       }
       for (auto& [done, success] : dones) {
         if (done) {
@@ -1138,11 +1171,9 @@ void RemoteRuntime::handle_message(
           it->second->last_alive = now();
         }
       }
-      if (config_.metrics != nullptr) {
+      if (metrics_.heartbeat_rtt != nullptr) {
         const double rtt = pa::wall_seconds() - m.timestamp;
-        config_.metrics
-            ->histogram("net.heartbeat_rtt_seconds", 1e-7, 60.0)
-            .record(rtt < 0.0 ? 0.0 : rtt);
+        metrics_.heartbeat_rtt->record(rtt < 0.0 ? 0.0 : rtt);
       }
       break;
     }
@@ -1217,8 +1248,8 @@ void RemoteRuntime::heartbeat_loop() {
       PA_LOG(kWarn, "remote-rt")
           << "pilot " << d.pilot_id << " missed " << config_.heartbeat_miss_limit
           << " heartbeats (" << deadline_seconds << " s); declaring it failed";
-      if (config_.metrics != nullptr) {
-        config_.metrics->counter("net.heartbeat_deaths").inc();
+      if (metrics_.heartbeat_deaths != nullptr) {
+        metrics_.heartbeat_deaths->inc();
       }
       if (d.conn) {
         d.conn->close();
@@ -1236,19 +1267,14 @@ void RemoteRuntime::heartbeat_loop() {
       // deadline passed are revoked at their source and retried.
       s->tick(pa::wall_seconds());
     }
-    if (config_.metrics != nullptr) {
-      config_.metrics->gauge("net.manager_bytes_in")
-          .set(static_cast<double>(bytes_in));
-      config_.metrics->gauge("net.manager_bytes_out")
-          .set(static_cast<double>(bytes_out));
-      config_.metrics->gauge("net.send_queue_hwm")
-          .set(static_cast<double>(queue_hwm));
-      config_.metrics->gauge("net.reconnects")
-          .set(static_cast<double>(reconnects));
-      config_.metrics->gauge("net.dispatch_inflight")
-          .set(static_cast<double>(inflight_sum));
-      config_.metrics->gauge("net.dispatch_pending")
-          .set(static_cast<double>(dispatch_->pending()));
+    if (metrics_.bytes_in != nullptr) {
+      metrics_.bytes_in->set(static_cast<double>(bytes_in));
+      metrics_.bytes_out->set(static_cast<double>(bytes_out));
+      metrics_.send_queue_hwm->set(static_cast<double>(queue_hwm));
+      metrics_.reconnects->set(static_cast<double>(reconnects));
+      metrics_.dispatch_inflight->set(static_cast<double>(inflight_sum));
+      metrics_.dispatch_pending->set(
+          static_cast<double>(dispatch_->pending()));
     }
     lock.lock();
   }

@@ -10,6 +10,7 @@
 
 #include "pa/common/error.h"
 #include "pa/core/pilot_compute_service.h"
+#include "pa/obs/metrics.h"
 #include "pa/rt/local_runtime.h"
 
 namespace pa::core {
@@ -172,6 +173,70 @@ TEST(ControlPlaneThreaded, BackpressureBlocksProducerAtBound) {
   EXPECT_TRUE(third_posted.load());
   plane.post_and_wait({0, 3});
   EXPECT_EQ(applied.load(), 4);
+}
+
+// Batch end (a schedule pass in the service) runs once per batch of
+// applied commands and on timer ticks only. With the tick far away, four
+// producers racing the applier must never make it run a batch end that
+// applied nothing — not at start-up, and not when a pop finds a push
+// still in flight.
+TEST(ControlPlaneThreaded, BatchEndRunsOnlyForAppliedCommands) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  obs::MetricsRegistry registry;
+  std::atomic<int> applied{0};
+  std::atomic<int> batch_ends{0};
+  Plane::Options opts;
+  opts.idle_wait_seconds = 60.0;  // no timer tick during the test
+  Plane* self = nullptr;
+  Plane plane(
+      [&](TestCmd& c) {
+        if (c.producer < 0) {
+          self->set_metrics(&registry, "t");
+        }
+        applied.fetch_add(1);
+      },
+      [&]() { batch_ends.fetch_add(1); }, opts);
+  self = &plane;
+  plane.post_and_wait({-1, 0});  // attach the ctrl.t.* counters
+  EXPECT_EQ(batch_ends.load(), 1) << "a batch end ran with nothing applied";
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&plane, p]() {
+      for (int s = 0; s < kPerProducer; ++s) {
+        plane.post({p, s});
+      }
+    });
+  }
+  for (auto& t : producers) {
+    t.join();
+  }
+  plane.post_and_wait({kProducers, 0});
+  plane.stop();
+  EXPECT_EQ(applied.load(), kProducers * kPerProducer + 2);
+  std::uint64_t batches = 0;
+  for (const auto& [name, value] : registry.counters()) {
+    if (name == "ctrl.t.batches") {
+      batches = value;
+    }
+  }
+  // Every batch end belongs to a counted batch (the attach batch counts:
+  // the counter exists by the time its batch end is tallied).
+  EXPECT_GT(batches, 1u);
+  EXPECT_EQ(static_cast<std::uint64_t>(batch_ends.load()), batches);
+}
+
+TEST(ControlPlaneThreaded, TimerTickRunsBatchEndWhileIdle) {
+  std::atomic<int> batch_ends{0};
+  Plane::Options opts;
+  opts.idle_wait_seconds = 0.005;
+  Plane plane([](TestCmd&) {}, [&]() { batch_ends.fetch_add(1); }, opts);
+  const auto start = std::chrono::steady_clock::now();
+  while (batch_ends.load() < 2 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(10)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(batch_ends.load(), 2) << "idle ticks stopped running batch end";
 }
 
 TEST(ControlPlaneThreaded, PostAfterStopIsDropped) {

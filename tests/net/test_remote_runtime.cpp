@@ -109,11 +109,14 @@ void run_workload(PilotComputeService& service, int unit_count,
 // launcher dereferences `runtime` lazily — it is only invoked from
 // start_pilot, long after construction finishes.
 struct RemoteStack {
+  /// Agents dial through `agent_transport` when it is set (a tap over
+  /// `transport`), else through `transport` itself.
   RemoteStack(net::Transport& transport, const std::string& listen_endpoint,
               double heartbeat_interval = 0.1, int miss_limit = 30,
               obs::MetricsRegistry* metrics = nullptr,
-              net::BatchFlusherConfig manager_flusher = {})
-      : farm(transport) {
+              net::BatchFlusherConfig manager_flusher = {},
+              net::Transport* agent_transport = nullptr)
+      : farm(agent_transport != nullptr ? *agent_transport : transport) {
     RemoteRuntimeConfig config;
     config.listen_endpoint = listen_endpoint;
     config.heartbeat_interval_seconds = heartbeat_interval;
@@ -709,6 +712,296 @@ TEST(RemoteRuntime, AgentNeverHoldsMoreThanItsQueueCapacity) {
   EXPECT_EQ(stack.service->metrics().units_done,
             static_cast<std::size_t>(kUnits));
   EXPECT_EQ(executions.load(), kUnits) << "a unit ran twice";
+  transport.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Batch dispatch: a schedule pass reaches each pilot's agent as one
+// kUnitBatch message, split across frames only by units.
+// ---------------------------------------------------------------------------
+
+// Agent-side transport tap: records the unit ids of every kUnitBatch
+// frame an agent receives, then delivers the frame unchanged.
+class UnitBatchTap final : public net::Transport {
+ public:
+  explicit UnitBatchTap(net::Transport& inner) : inner_(inner) {}
+
+  std::string listen(const std::string& endpoint,
+                     net::AcceptHandler on_accept) override {
+    return inner_.listen(endpoint, std::move(on_accept));
+  }
+  net::ConnectionPtr connect(const std::string& endpoint,
+                             net::ConnectionHandlers handlers) override {
+    handlers.on_message = [this, deliver = std::move(handlers.on_message)](
+                              const std::string& payload) {
+      const net::Message m =
+          net::decode_message(payload.data(), payload.size());
+      if (m.type == net::MessageType::kUnitBatch) {
+        std::vector<std::string> ids;
+        for (const net::WireUnitDescription& u : m.units) {
+          ids.push_back(u.unit_id);
+        }
+        check::MutexLock lock(mu_);
+        frames_.push_back(std::move(ids));
+      }
+      deliver(payload);
+    };
+    return inner_.connect(endpoint, std::move(handlers));
+  }
+  void stop() override { inner_.stop(); }
+
+  /// Unit ids per received kUnitBatch frame, in arrival order.
+  std::vector<std::vector<std::string>> frames() {
+    check::MutexLock lock(mu_);
+    return frames_;
+  }
+
+ private:
+  net::Transport& inner_;
+  check::Mutex mu_{check::LockRank::kLeaf, "test.unit_batch_tap"};
+  std::vector<std::vector<std::string>> frames_ PA_GUARDED_BY(mu_);
+};
+
+// Submits `n` units that count their executions in `runs` (one slot per
+// unit, sized by the caller).
+std::vector<ComputeUnit> submit_counted(PilotComputeService& service, int n,
+                                        std::vector<std::atomic<int>>& runs,
+                                        int first = 0) {
+  std::vector<ComputeUnitDescription> descs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    descs[static_cast<std::size_t>(i)].name =
+        "unit-" + std::to_string(first + i);
+    descs[static_cast<std::size_t>(i)].work = [&runs, slot = first + i]() {
+      runs[static_cast<std::size_t>(slot)].fetch_add(1);
+    };
+  }
+  return service.submit_units(descs);
+}
+
+// Units queued before the pilot exists are all bound by the one schedule
+// pass that follows its activation (capacity 2 cores × 16 = 32 ≥ 24), so
+// they must reach the agent as exactly one frame: one execute_units call,
+// one kUnitBatch message, within the frame cap (flusher max_batch 32).
+TEST(RemoteBatchDispatch, OnePassReachesTheAgentAsOneFrame) {
+  net::InProcTransport transport;
+  UnitBatchTap tap(transport);
+  RemoteStack stack(transport, "inproc://manager", 0.1, 30, nullptr, {},
+                    &tap);
+  ASSERT_TRUE(stack.runtime->batches_launches());
+  constexpr int kUnits = 24;
+  std::vector<std::atomic<int>> runs(kUnits);
+  const std::vector<ComputeUnit> units =
+      submit_counted(*stack.service, kUnits, runs);
+  stack.service->submit_pilot(remote_pilot(2)).wait_active(10.0);
+  stack.service->wait_all_units(60.0);
+
+  const auto frames = tap.frames();
+  ASSERT_EQ(frames.size(), 1u) << "one pass must ship as one frame";
+  std::vector<std::string> want;
+  for (const ComputeUnit& u : units) {
+    want.push_back(u.id());
+    EXPECT_EQ(u.state(), UnitState::kDone);
+  }
+  std::vector<std::string> got = frames[0];
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  for (int i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "unit " << i;
+  }
+  transport.stop();
+}
+
+// One pass of 32 units (~2 KB as a frame) against a 1 KB send queue: the
+// frame is rejected, the per-pilot frame cap halves in units until a
+// frame fits, and the pass reaches the agent split across frames with
+// every unit exactly once. A cap counted in messages could never shrink
+// the one message below its 32 units.
+TEST(RemoteBatchDispatch, PassLargerThanTheSendQueueSplitsAcrossFrames) {
+  obs::MetricsRegistry registry;
+  net::InProcTransportConfig tc;
+  tc.max_queue_bytes = 1024;
+  net::InProcTransport transport(tc);
+  UnitBatchTap tap(transport);
+  RemoteStack stack(transport, "inproc://manager", 0.1, 30, &registry, {},
+                    &tap);
+  constexpr int kUnits = 32;
+  std::vector<std::atomic<int>> runs(kUnits);
+  const std::vector<ComputeUnit> units =
+      submit_counted(*stack.service, kUnits, runs);
+  stack.service->submit_pilot(remote_pilot(2)).wait_active(10.0);
+  stack.service->wait_all_units(60.0);
+
+  const auto frames = tap.frames();
+  EXPECT_GT(frames.size(), 1u) << "the pass was never split";
+  std::multiset<std::string> received;
+  for (const auto& frame : frames) {
+    received.insert(frame.begin(), frame.end());
+  }
+  EXPECT_EQ(received.size(), static_cast<std::size_t>(kUnits));
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(received.count(u.id()), 1u) << u.id();
+    EXPECT_EQ(u.state(), UnitState::kDone);
+  }
+  for (int i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "unit " << i;
+  }
+  std::uint64_t rejected = 0;
+  for (const auto& [name, value] : registry.counters()) {
+    if (name == "net.send_rejected") {
+      rejected = value;
+    }
+  }
+  EXPECT_GT(rejected, 0u) << "queue bound never hit: test exercised nothing";
+  transport.stop();
+}
+
+// Runtime decorator for the vanished-pilot test. It holds every pilot's
+// activation until release_actives(), and on the first batch the service
+// hands it, cancels `victim` before forwarding: the pilot disappears
+// between the pass's binds and its launches, as a heartbeat death can.
+class VanishingPilotRuntime final : public core::Runtime {
+ public:
+  core::Runtime* inner = nullptr;
+  std::string victim;
+
+  void start_pilot(const std::string& pilot_id,
+                   const core::PilotDescription& description,
+                   core::PilotRuntimeCallbacks callbacks) override {
+    callbacks.on_active = [this, on_active = std::move(callbacks.on_active)](
+                              const std::string& id, int cores,
+                              const std::string& site) {
+      check::MutexLock lock(mu_);
+      held_.push_back([on_active, id, cores, site] {
+        on_active(id, cores, site);
+      });
+    };
+    inner->start_pilot(pilot_id, description, std::move(callbacks));
+  }
+  void cancel_pilot(const std::string& pilot_id) override {
+    inner->cancel_pilot(pilot_id);
+  }
+  void execute_unit(const std::string& pilot_id,
+                    const ComputeUnitDescription& description,
+                    const std::string& unit_id,
+                    std::function<void(bool)> on_done) override {
+    inner->execute_unit(pilot_id, description, unit_id, std::move(on_done));
+  }
+  void execute_units(const std::string& pilot_id,
+                     std::vector<core::UnitLaunch> launches) override {
+    {
+      check::MutexLock lock(mu_);
+      batches_.push_back(pilot_id);
+    }
+    if (!victim_canceled_.exchange(true)) {
+      inner->cancel_pilot(victim);
+    }
+    inner->execute_units(pilot_id, std::move(launches));
+  }
+  bool batches_launches() const override { return inner->batches_launches(); }
+  double now() const override { return inner->now(); }
+  void drive_until(const std::function<bool()>& predicate,
+                   double timeout_seconds) override {
+    inner->drive_until(predicate, timeout_seconds);
+  }
+
+  std::size_t held() {
+    check::MutexLock lock(mu_);
+    return held_.size();
+  }
+  /// Runs the held activations back to back on the calling thread.
+  void release_actives() {
+    std::vector<std::function<void()>> held;
+    {
+      check::MutexLock lock(mu_);
+      held.swap(held_);
+    }
+    for (auto& activate : held) {
+      activate();
+    }
+  }
+  /// Pilot of every execute_units call, in call order.
+  std::vector<std::string> batches() {
+    check::MutexLock lock(mu_);
+    return batches_;
+  }
+
+ private:
+  check::Mutex mu_{check::LockRank::kLeaf, "test.vanishing_pilot"};
+  std::vector<std::function<void()>> held_ PA_GUARDED_BY(mu_);
+  std::vector<std::string> batches_ PA_GUARDED_BY(mu_);
+  std::atomic<bool> victim_canceled_{false};
+};
+
+// Both pilots go ACTIVE in one command batch while 40 units are queued,
+// so one pass binds 16 units to each (1 core × 16). The victim vanishes
+// before that pass's launches go out: its launches are dropped without a
+// throw, the other pilot's still launch, and the victim's termination
+// requeues its units — every unit ends DONE having run exactly once.
+TEST(RemoteBatchDispatch, PilotCanceledMidPassLeavesOtherPilotsExactlyOnce) {
+  net::InProcTransport transport;
+  VanishingPilotRuntime runtime;  // outlives the stack's service
+  RemoteStack stack(transport, "inproc://manager");
+  runtime.inner = stack.runtime.get();
+  stack.service = std::make_unique<PilotComputeService>(runtime, "backfill");
+  PilotComputeService& service = *stack.service;
+
+  // The gate holds the apply thread inside a unit observer while both
+  // activations are posted, so they land in one command batch.
+  std::atomic<bool> in_gate{false};
+  std::atomic<bool> open{false};
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate.store(true); }
+  } open_gate{open};
+  service.observe_units([&](const std::string&, UnitState, UnitState to) {
+    if (to != UnitState::kCanceled) {
+      return;
+    }
+    in_gate.store(true);
+    while (!open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  Pilot victim = service.submit_pilot(remote_pilot(1, "site-a"));
+  Pilot survivor = service.submit_pilot(remote_pilot(1, "site-b"));
+  runtime.victim = victim.id();
+  const double start = pa::wall_seconds();
+  while (runtime.held() < 2 && pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(runtime.held(), 2u);
+
+  constexpr int kUnits = 40;
+  std::vector<std::atomic<int>> runs(kUnits + 1);
+  const std::vector<ComputeUnit> units =
+      submit_counted(service, kUnits, runs);
+  ComputeUnit gate = submit_counted(service, 1, runs, kUnits).front();
+  std::thread canceler([&gate] { gate.cancel(); });
+  while (!in_gate.load() && pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  runtime.release_actives();
+  open.store(true);
+  canceler.join();
+
+  service.wait_all_units(60.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone) << u.id();
+  }
+  for (int i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "unit " << i;
+  }
+  EXPECT_EQ(runs[kUnits].load(), 0) << "the canceled gate unit ran";
+  EXPECT_EQ(service.metrics().units_done, static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(victim.state(), PilotState::kCanceled);
+  // The first pass launched on both pilots: the victim's batch and the
+  // survivor's, in either order.
+  const std::vector<std::string> batches = runtime.batches();
+  ASSERT_GE(batches.size(), 2u);
+  EXPECT_EQ(std::set<std::string>(batches.begin(), batches.begin() + 2),
+            (std::set<std::string>{victim.id(), survivor.id()}));
   transport.stop();
 }
 

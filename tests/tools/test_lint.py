@@ -129,6 +129,22 @@ class CallbackShape(unittest.TestCase):
     def test_rule_only_applies_to_core(self):
         self.assertEqual(msgs("src/net/manager.cpp", self.DIRTY), [])
 
+    def test_unit_launch_completion_is_checked(self):
+        dirty = (
+            "void S::launch(const std::string& id) {\n"
+            "  UnitLaunch launch{id, &d, [this, id](bool ok) {\n"
+            "    units_.erase(id);\n"
+            "  }};\n"
+            "}\n"
+        )
+        out = msgs("src/core/service.cpp", dirty)
+        self.assertTrue(
+            any("touches service state `units_`" in m for m in out), out)
+        clean = dirty.replace(
+            "units_.erase(id);",
+            "ctrl_->post(cmd::Command{cmd::CmdUnitDone{id, ok}});")
+        self.assertEqual(msgs("src/core/service.cpp", clean), [])
+
 
 class ShardConfinement(unittest.TestCase):
     def test_service_shard_reference_outside_layer_is_flagged(self):

@@ -136,7 +136,7 @@ SM_RESET_MARKER = "lint:allow-state-reset"
 CALLBACK_SCOPE = "src/core/"
 CALLBACK_TRIGGERS = re.compile(
     r"callbacks\.on_\w+\s*=|runtime_\.execute_unit\s*\(|"
-    r"data_->stage_to_site\s*\("
+    r"\bUnitLaunch\s*\w*\s*\{|data_->stage_to_site\s*\("
 )
 CALLBACK_FORBIDDEN = re.compile(
     r"\b(workload_|units_|pilots_|journal_|tracer_|obs_metrics_|model_|"
