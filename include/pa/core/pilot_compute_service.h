@@ -28,6 +28,11 @@
 ///    The mutex guards the reads themselves: a lookup copies one entry,
 ///    and `metrics()` merges a fixed-size `ServiceMetrics` per shard.
 ///    Nothing is cloned.
+///  * **Retired units.** The batch end that publishes a unit's final
+///    state drops its record and keeps only its state and times in the
+///    shard's final table (service_shard.h "Retirement"). Every read
+///    above still answers for it; `cancel_unit` on it returns without
+///    effect.
 ///  * **Admission.** With an `AdmissionInterface` attached (see
 ///    pa::tenant::TenantRegistry), submissions are admitted on the
 ///    producer thread *before* consuming queue space and throw

@@ -34,6 +34,16 @@
 /// shard that holds its unit or pilot; one for a unit the shard no longer
 /// holds comes from a superseded attempt and is dropped.
 ///
+/// Retirement. A unit's full record (description, work closure, name
+/// strings, state machine) lives in `units_` and its published snap in
+/// `ReadModel::units` only while it is live. The batch end that publishes
+/// a final state — after its observers, journal records and metrics ran —
+/// moves the snap (state + times, 40 B) into `ReadModel::final_units`,
+/// keyed by the ordinal of its "unit-<n>" id, and erases both string-keyed
+/// entries. Reads answer a retired unit from that table; a cancel of one
+/// is a no-op, and a late completion for one is dropped like any other
+/// for a unit the shard does not hold.
+///
 /// Only the sharding layer may name this class or call post_forward
 /// (tools/lint.py rule 5b); everything else goes through the facade.
 /// A single-shard service never runs any of the hand-over code.
@@ -45,6 +55,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -138,7 +149,11 @@ class ServiceShard {
   /// thread flushes records at batch end and records `metrics` per event.
   struct ReadModel {
     std::map<std::string, PilotState> pilot_states;
+    /// Live units.
     std::map<std::string, UnitSnap> units;
+    /// Retired units by id ordinal (final_key in service_shard.cpp);
+    /// every entry is final.
+    std::unordered_map<std::uint64_t, UnitSnap> final_units;
     ServiceMetrics metrics;
     std::size_t unfinished = 0;
   };
@@ -168,6 +183,8 @@ class ServiceShard {
 
   void on_batch_end();
   void run_schedule_cycle();
+  /// Flushes dirty records into the read model and retires the units
+  /// that reached a final state.
   void publish_snapshot();
 
   void submit_pilot_apply(const std::string& pilot_id,
@@ -198,6 +215,10 @@ class ServiceShard {
   struct Instruments {
     obs::Counter* pilots_submitted = nullptr;
     obs::Counter* pilots_active = nullptr;
+    /// pcs.pilots_terminated.<state>, one per final pilot state.
+    obs::Counter* pilots_terminated_done = nullptr;
+    obs::Counter* pilots_terminated_failed = nullptr;
+    obs::Counter* pilots_terminated_canceled = nullptr;
     obs::Histogram* pilot_startup = nullptr;
     obs::Counter* units_submitted = nullptr;
     obs::Counter* units_done = nullptr;
@@ -228,7 +249,10 @@ class ServiceShard {
   int pilot_max_restarts_ = 0;
   std::vector<UnitObserver> unit_observers_;
   std::map<std::string, PilotRecord> pilots_;
-  std::map<std::string, UnitRecord> units_;
+  std::map<std::string, UnitRecord> units_;  ///< live units only
+  /// Records retired by this publish, erased once the snapshot lock is
+  /// released (publish_snapshot).
+  std::vector<std::map<std::string, UnitRecord>::iterator> retiring_;
   std::set<std::string> dirty_pilots_;
   std::set<std::string> dirty_units_;
   /// This pass's launches grouped by pilot (batching runtimes only);

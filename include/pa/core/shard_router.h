@@ -16,6 +16,7 @@
 /// writes. Each entry carries a version (a unit's hand-over count), so
 /// pins that land out of order still name the latest owner.
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 
@@ -44,9 +45,10 @@ class ShardRouter {
   /// Drops the owner-table entry for `id` (entity reached a final state).
   void forget(const std::string& id);
 
- private:
-  static int trailing_ordinal(const std::string& id);
+  /// The "-N" ordinal at the end of `id`, or -1 when it has none.
+  static std::int64_t trailing_ordinal(const std::string& id);
 
+ private:
   struct Owner {
     int shard = 0;
     int version = 0;

@@ -9,6 +9,23 @@
 
 namespace pa::core {
 
+namespace {
+
+/// Final-table key of a unit: the ordinal of the facade's "unit-<n>" id.
+/// Any other spelling (another prefix, a leading zero) keys to -1, so a
+/// query such as "unit-01" never answers for "unit-1".
+std::int64_t final_key(const std::string& unit_id) {
+  constexpr std::size_t kPrefix = 5;  // "unit-"
+  if (unit_id.compare(0, kPrefix, "unit-") != 0 ||
+      unit_id.rfind('-') != kPrefix - 1 ||
+      (unit_id.size() > kPrefix + 1 && unit_id[kPrefix] == '0')) {
+    return -1;
+  }
+  return ShardRouter::trailing_ordinal(unit_id);
+}
+
+}  // namespace
+
 ServiceShard::ServiceShard(Runtime& runtime, int index,
                            const std::string& scheduler_policy,
                            ShardRouter& router, std::atomic<bool>& shut_down,
@@ -51,18 +68,27 @@ bool ServiceShard::try_pilot_state(const std::string& pilot_id,
 }
 
 bool ServiceShard::try_unit(const std::string& unit_id, UnitSnap* out) const {
+  const std::int64_t key = final_key(unit_id);
   check::MutexLock lock(snapshot_mutex_);
   const auto it = model_.units.find(unit_id);
-  if (it == model_.units.end()) {
+  if (it != model_.units.end()) {
+    *out = it->second;
+    return true;
+  }
+  if (key < 0) {
     return false;
   }
-  *out = it->second;
+  const auto fit = model_.final_units.find(static_cast<std::uint64_t>(key));
+  if (fit == model_.final_units.end()) {
+    return false;
+  }
+  *out = fit->second;
   return true;
 }
 
 std::size_t ServiceShard::total_units() const {
   check::MutexLock lock(snapshot_mutex_);
-  return model_.units.size();
+  return model_.units.size() + model_.final_units.size();
 }
 
 std::size_t ServiceShard::unfinished_units() const {
@@ -222,11 +248,22 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
     tracer_->event_at(terminated_at, "pilot.state", pilot_id,
                       to_string(rec.sm.state()));
   }
-  if (obs_metrics_ != nullptr) {
-    obs_metrics_
-        ->counter(std::string("pcs.pilots_terminated.") +
-                  to_string(rec.sm.state()))
-        .inc();
+  obs::Counter* terminated = nullptr;
+  switch (rec.sm.state()) {
+    case PilotState::kDone:
+      terminated = instruments_.pilots_terminated_done;
+      break;
+    case PilotState::kFailed:
+      terminated = instruments_.pilots_terminated_failed;
+      break;
+    case PilotState::kCanceled:
+      terminated = instruments_.pilots_terminated_canceled;
+      break;
+    default:
+      break;  // the runtime reported an end this machine refused
+  }
+  if (terminated != nullptr) {
+    terminated->inc();
   }
   if (rec.router_pinned && is_final(rec.sm.state())) {
     router_.forget(pilot_id);
@@ -239,10 +276,11 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
                        !shut_down_.load(std::memory_order_relaxed) &&
                        restarts_used < pilot_max_restarts_;
   for (const auto& unit_id : orphans) {
-    auto& unit = unit_record(unit_id);
-    if (is_final(unit.sm.state())) {
-      continue;
+    const auto uit = units_.find(unit_id);
+    if (uit == units_.end() || is_final(uit->second.sm.state())) {
+      continue;  // final (retired at an earlier batch end, or this one)
     }
+    UnitRecord& unit = uit->second;
     const bool want_requeue =
         requeue_on_pilot_failure_ && !unit.cancel_requested;
     if (want_requeue &&
@@ -414,7 +452,8 @@ void ServiceShard::apply(cmd::CmdStageInDone& c) {
   const auto it = units_.find(c.unit_id);
   if (it == units_.end() || c.attempt != it->second.attempts) {
     // Barrier of a superseded dispatch: dispatched units never move, so
-    // a unit this shard no longer holds was requeued and handed over.
+    // a unit this shard no longer holds was requeued and handed over, or
+    // it is final and retired.
     return;
   }
   auto& unit = it->second;
@@ -463,7 +502,8 @@ void ServiceShard::apply(cmd::CmdUnitDone& c) {
   const auto it = units_.find(c.unit_id);
   if (it == units_.end() || c.attempt != it->second.attempts) {
     // Completion of a superseded attempt (a unit this shard no longer
-    // holds was requeued and handed over: dispatched units never move).
+    // holds was requeued and handed over: dispatched units never move),
+    // or a late one for a unit that is final and retired.
     return;
   }
   auto& unit = it->second;
@@ -546,9 +586,17 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
 }
 
 void ServiceShard::apply(cmd::CmdCancelUnit& c) {
-  // NotFound also answers a cancel that raced a hand-over; the facade
-  // re-routes it (pilot_compute_service.cpp cancel_unit).
-  auto& unit = unit_record(c.unit_id);
+  const auto it = units_.find(c.unit_id);
+  if (it == units_.end()) {
+    UnitSnap snap;
+    if (try_unit(c.unit_id, &snap) && is_final(snap.state)) {
+      return;  // retired: final, nothing to cancel
+    }
+    // NotFound also answers a cancel that raced a hand-over; the facade
+    // re-routes it (pilot_compute_service.cpp cancel_unit).
+    throw NotFound("unknown unit: " + c.unit_id);
+  }
+  UnitRecord& unit = it->second;
   if (is_final(unit.sm.state())) {
     return;
   }
@@ -593,6 +641,12 @@ void ServiceShard::apply(cmd::CmdAttachObservability& c) {
   }
   instruments_.pilots_submitted = &m->counter("pcs.pilots_submitted");
   instruments_.pilots_active = &m->counter("pcs.pilots_active");
+  instruments_.pilots_terminated_done =
+      &m->counter("pcs.pilots_terminated.DONE");
+  instruments_.pilots_terminated_failed =
+      &m->counter("pcs.pilots_terminated.FAILED");
+  instruments_.pilots_terminated_canceled =
+      &m->counter("pcs.pilots_terminated.CANCELED");
   instruments_.pilot_startup = &m->histogram(
       "pcs.pilot_startup", kLatencyMinSeconds, kLatencyMaxSeconds);
   instruments_.units_submitted = &m->counter("pcs.units_submitted");
@@ -818,41 +872,64 @@ void ServiceShard::publish_snapshot() {
       removed_units_.empty()) {
     return;  // idle tick: nothing changed
   }
-  check::MutexLock lock(snapshot_mutex_);
-  ReadModel& m = model_;
-  // Removals first (hand-overs): the authoritative records are gone from
-  // this shard, so drop their read-model entries and stop counting them
-  // here (the in-transit counter carries them until the thief publishes).
-  for (const auto& uid : removed_units_) {
-    const auto it = m.units.find(uid);
-    if (it != m.units.end()) {
-      if (!is_final(it->second.state)) {
+  {
+    check::MutexLock lock(snapshot_mutex_);
+    ReadModel& m = model_;
+    // Removals first (hand-overs): the authoritative records are gone from
+    // this shard, so drop their read-model entries and stop counting them
+    // here (the in-transit counter carries them until the thief publishes).
+    for (const auto& uid : removed_units_) {
+      const auto it = m.units.find(uid);
+      if (it != m.units.end()) {
+        if (!is_final(it->second.state)) {
+          --m.unfinished;
+        }
+        m.units.erase(it);
+      }
+    }
+    for (const auto& pid : dirty_pilots_) {
+      m.pilot_states[pid] = pilots_.at(pid).sm.state();
+    }
+    for (const auto& uid : dirty_units_) {
+      const auto rit = units_.find(uid);
+      PA_CHECK_MSG(rit != units_.end(), "dirty unit without record: " << uid);
+      const UnitSnap snap{rit->second.sm.state(), rit->second.times};
+      const bool now_final = is_final(snap.state);
+      const auto it = m.units.find(uid);
+      // An entry in `units` is live: a final unit retires below, and its
+      // record is never dirty again.
+      if (it == m.units.end() && !now_final) {
+        ++m.unfinished;
+      } else if (it != m.units.end() && now_final) {
         --m.unfinished;
       }
-      m.units.erase(it);
-    }
-  }
-  for (const auto& pid : dirty_pilots_) {
-    m.pilot_states[pid] = pilots_.at(pid).sm.state();
-  }
-  for (const auto& uid : dirty_units_) {
-    const auto& rec = units_.at(uid);
-    auto [it, inserted] = m.units.try_emplace(uid);
-    const bool was_final = !inserted && is_final(it->second.state);
-    it->second.state = rec.sm.state();
-    it->second.times = rec.times;
-    const bool now_final = is_final(it->second.state);
-    if (inserted) {
       if (!now_final) {
-        ++m.unfinished;
+        if (it == m.units.end()) {
+          m.units.emplace(uid, snap);
+        } else {
+          it->second = snap;
+        }
+        continue;
       }
-    } else if (!was_final && now_final) {
-      --m.unfinished;
+      // Retire: observers, journal and metrics have seen the final state.
+      const std::int64_t key = final_key(uid);
+      PA_CHECK_MSG(key >= 0, "unit id is not unit-<n>: " << uid);
+      m.final_units.emplace(static_cast<std::uint64_t>(key), snap);
+      if (it != m.units.end()) {
+        m.units.erase(it);
+      }
+      retiring_.push_back(rit);
     }
   }
   removed_units_.clear();
   dirty_pilots_.clear();
   dirty_units_.clear();
+  // Retired records are freed outside the snapshot lock: their work
+  // closures are the application's, and so are their destructors.
+  for (const auto& rit : retiring_) {
+    units_.erase(rit);
+  }
+  retiring_.clear();
 }
 
 }  // namespace pa::core

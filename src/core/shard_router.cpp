@@ -1,6 +1,7 @@
 #include "pa/core/shard_router.h"
 
 #include <cctype>
+#include <limits>
 
 #include "pa/common/error.h"
 
@@ -10,28 +11,29 @@ ShardRouter::ShardRouter(int shards) : shards_(shards) {
   PA_REQUIRE_ARG(shards >= 1, "shard count must be >= 1, got " << shards);
 }
 
-int ShardRouter::trailing_ordinal(const std::string& id) {
+std::int64_t ShardRouter::trailing_ordinal(const std::string& id) {
   const auto dash = id.rfind('-');
   if (dash == std::string::npos || dash + 1 >= id.size()) {
     return -1;
   }
-  int value = 0;
+  std::int64_t value = 0;
   for (std::size_t i = dash + 1; i < id.size(); ++i) {
     const char c = id[i];
     if (std::isdigit(static_cast<unsigned char>(c)) == 0) {
       return -1;
     }
-    value = value * 10 + (c - '0');
-    if (value < 0) {  // overflow guard; ids never get this large
-      return -1;
+    const int digit = c - '0';
+    if (value > (std::numeric_limits<std::int64_t>::max() - digit) / 10) {
+      return -1;  // overflow guard; ids never get this large
     }
+    value = value * 10 + digit;
   }
   return value;
 }
 
 int ShardRouter::default_shard(const std::string& id) const {
-  const int ordinal = trailing_ordinal(id);
-  return ordinal >= 0 ? ordinal % shards_ : 0;
+  const std::int64_t ordinal = trailing_ordinal(id);
+  return ordinal >= 0 ? static_cast<int>(ordinal % shards_) : 0;
 }
 
 int ShardRouter::shard_for_id(const std::string& id) const {
