@@ -9,7 +9,7 @@
 /// construct one and post it; only the apply context executes middleware
 /// logic. Grouping:
 ///
-///   lifecycle   CmdSubmitPilot, CmdSubmitUnit, CmdPilotActive,
+///   lifecycle   CmdSubmitPilot, CmdSubmitUnits, CmdPilotActive,
 ///               CmdPilotTerminated, CmdUnitDone, CmdStageInDone
 ///   control     CmdCancelUnit, CmdShutdown, CmdFence
 ///   config      CmdAttachData, CmdAttachObservability, CmdAttachJournal,
@@ -58,9 +58,18 @@ struct CmdSubmitPilot {
   int restarts_used = 0;
 };
 
-struct CmdSubmitUnit {
+/// One unit of a submission burst.
+struct SubmittedUnit {
   std::string unit_id;
   ComputeUnitDescription description;
+};
+
+/// A burst of unit submissions for one shard (one element for
+/// submit_unit). Each unit is validated on its own: one the shard refuses
+/// is logged and dropped, the rest stand, and the first refusal is
+/// rethrown to the waiting caller.
+struct CmdSubmitUnits {
+  std::vector<SubmittedUnit> units;
 };
 
 /// Runtime callback: the pilot's allocation came up.
@@ -78,8 +87,9 @@ struct CmdPilotTerminated {
 
 /// Runtime callback: a unit's payload finished. `attempt` tags the
 /// completion so a stale callback from a superseded attempt is ignored.
+/// Posted only by the shard's own launch closure, so it carries the key.
 struct CmdUnitDone {
-  std::string unit_id;
+  UnitKey unit_key = 0;
   bool success = false;
   int attempt = 0;
 };
@@ -89,7 +99,7 @@ struct CmdUnitDone {
 /// `attempt` tags the barrier's dispatch so a stale completion (the unit
 /// was requeued and re-dispatched while data moved) is ignored.
 struct CmdStageInDone {
-  std::string unit_id;
+  UnitKey unit_key = 0;
   int attempt = 0;
 };
 
@@ -155,6 +165,7 @@ struct CmdRequestUnits {
 /// requeue budget it already consumed (a poison unit cannot reset its
 /// bound by changing shard).
 struct HandedOverUnit {
+  UnitKey unit_key = 0;
   std::string unit_id;
   ComputeUnitDescription description;
   std::string tenant;
@@ -173,7 +184,7 @@ struct CmdAdoptUnits {
 /// CmdFence first: the variant (and thus a queue envelope) is cheaply
 /// default-constructible.
 using Command =
-    std::variant<CmdFence, CmdSubmitPilot, CmdSubmitUnit, CmdPilotActive,
+    std::variant<CmdFence, CmdSubmitPilot, CmdSubmitUnits, CmdPilotActive,
                  CmdPilotTerminated, CmdUnitDone, CmdStageInDone,
                  CmdCancelUnit, CmdShutdown, CmdAttachData,
                  CmdAttachObservability, CmdAttachJournal,

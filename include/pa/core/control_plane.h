@@ -65,7 +65,13 @@ namespace pa::core {
 
 template <typename Command>
 class ControlPlane {
+  struct Waiter;
+
  public:
+  /// A posted command's completion, for `wait`; null when the post was
+  /// dropped because the plane stopped.
+  using Ticket = std::shared_ptr<Waiter>;
+
   struct Options {
     /// Max commands in flight before producers block (threaded mode only;
     /// posts from the apply thread bypass the bound). 0 = unbounded.
@@ -106,8 +112,21 @@ class ControlPlane {
   /// belonged to finished (snapshot republished). Rethrows any exception
   /// the handler threw. Returns false after stop().
   bool post_and_wait(Command command) {
-    if (stopped_.load(std::memory_order_acquire)) {
+    const Ticket ticket = post_for_wait(std::move(command));
+    if (ticket == nullptr) {
       return false;
+    }
+    wait(ticket);
+    return true;
+  }
+
+  /// The first half of post_and_wait: posts and returns the ticket to
+  /// `wait` on (null after stop()). A caller posting to several planes
+  /// posts to all of them before waiting on any, so they apply in
+  /// parallel.
+  Ticket post_for_wait(Command command) {
+    if (stopped_.load(std::memory_order_acquire)) {
+      return nullptr;
     }
     auto waiter = std::make_shared<Waiter>();
     if (options_.threaded &&
@@ -117,27 +136,32 @@ class ControlPlane {
           "apply-side code must post fire-and-forget commands");
     }
     if (!post_envelope(Envelope{std::move(command), now(), waiter})) {
-      return false;
+      return nullptr;
     }
+    return waiter;
+  }
+
+  /// The second half: blocks until the ticket's command was applied and
+  /// its batch finished, then rethrows any exception the handler threw.
+  void wait(const Ticket& ticket) {
     if (!options_.threaded) {
       // Inline mode drains synchronously — unless this post came from
       // inside a handler or batch-end callout (the outer drain owns the
       // queue), where waiting is impossible by construction.
-      if (!waiter->done.load(std::memory_order_acquire)) {
+      if (!ticket->done.load(std::memory_order_acquire)) {
         throw InvalidStateError(
             "synchronous control-plane call from inside a handler or "
             "observer; post fire-and-forget commands instead");
       }
     } else {
       check::MutexLock lock(mutex_);
-      while (!waiter->done.load(std::memory_order_acquire)) {
+      while (!ticket->done.load(std::memory_order_acquire)) {
         done_cv_.wait_for(lock, options_.idle_wait_seconds);
       }
     }
-    if (waiter->error) {
-      std::rethrow_exception(waiter->error);
+    if (ticket->error) {
+      std::rethrow_exception(ticket->error);
     }
-    return true;
   }
 
   /// Resolves the per-shard ctrl.* instruments (`ctrl.<shard>.commands`,

@@ -22,7 +22,7 @@
 ///    pilot has capacity, even with fewer pilots than shards.
 ///  * **Writes.** Every mutation is a command posted to the owning
 ///    shard's queue; the router's owner table names the shard of a
-///    handed-over unit.
+///    handed-over unit. Submissions go as one burst command per shard.
 ///  * **Reads.** Accessors read each shard's read model under that
 ///    shard's snapshot mutex (LockRank::kService) and merge the results.
 ///    The mutex guards the reads themselves: a lookup copies one entry,
@@ -173,9 +173,12 @@ class PilotComputeService {
 
   /// Submits a unit into the late-binding queue.
   ComputeUnit submit_unit(const ComputeUnitDescription& description);
-  /// Batch submission: posts every unit fire-and-forget and waits once,
-  /// so a large burst costs one queue round-trip per shard, not N. On a
-  /// quota rejection mid-burst, units admitted earlier stay submitted.
+  /// Batch submission: one command per touched shard (a burst), posted
+  /// to every shard before waiting on any, so a large burst costs one
+  /// queue round-trip per shard, not N. On a rejection mid-burst (quota,
+  /// validation), the units before it are posted and published, then the
+  /// rejection is rethrown; a unit a shard refuses is dropped and the
+  /// first such refusal is rethrown after every shard applied its burst.
   std::vector<ComputeUnit> submit_units(
       const std::vector<ComputeUnitDescription>& descriptions);
 

@@ -34,15 +34,21 @@
 /// shard that holds its unit or pilot; one for a unit the shard no longer
 /// holds comes from a superseded attempt and is dropped.
 ///
+/// Unit keys. The apply path keys a unit by the ordinal n of its
+/// "unit-<n>" id (`UnitKey`), parsed once when the unit reaches the shard
+/// (submit or adopt). The record keeps the id string for the edges: journal
+/// hooks, unit observers, runtime launches and logs. A transition marks the
+/// record dirty and appends its key to a dirty list; publish flushes each
+/// dirty record once and skips keys whose record was handed away.
+///
 /// Retirement. A unit's full record (description, work closure, name
 /// strings, state machine) lives in `units_` and its published snap in
 /// `ReadModel::units` only while it is live. The batch end that publishes
 /// a final state — after its observers, journal records and metrics ran —
-/// moves the snap (state + times, 40 B) into `ReadModel::final_units`,
-/// keyed by the ordinal of its "unit-<n>" id, and erases both string-keyed
-/// entries. Reads answer a retired unit from that table; a cancel of one
-/// is a no-op, and a late completion for one is dropped like any other
-/// for a unit the shard does not hold.
+/// moves the snap (state + times, 40 B) into `ReadModel::final_units` and
+/// erases both live entries. Reads answer a retired unit from that table;
+/// a cancel of one is a no-op, and a late completion for one is dropped
+/// like any other for a unit the shard does not hold.
 ///
 /// Only the sharding layer may name this class or call post_forward
 /// (tools/lint.py rule 5b); everything else goes through the facade.
@@ -56,6 +62,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -135,12 +142,15 @@ class ServiceShard {
   };
 
   struct UnitRecord {
+    UnitKey key = 0;
+    std::string id;  ///< "unit-<n>", for the journal, observers and logs
     ComputeUnitDescription description;
     std::string tenant;
     UnitStateMachine sm{UnitState::kNew};
     UnitTimes times;
     std::string pilot_id;  ///< current binding, empty while queued
     bool cancel_requested = false;
+    bool dirty = false;  ///< in dirty_units_, not yet published
     int attempts = 0;
     int handovers = 0;  ///< shard changes so far (orders router pins)
   };
@@ -150,10 +160,9 @@ class ServiceShard {
   struct ReadModel {
     std::map<std::string, PilotState> pilot_states;
     /// Live units.
-    std::map<std::string, UnitSnap> units;
-    /// Retired units by id ordinal (final_key in service_shard.cpp);
-    /// every entry is final.
-    std::unordered_map<std::uint64_t, UnitSnap> final_units;
+    std::unordered_map<UnitKey, UnitSnap> units;
+    /// Retired units; every entry is final.
+    std::unordered_map<UnitKey, UnitSnap> final_units;
     ServiceMetrics metrics;
     std::size_t unfinished = 0;
   };
@@ -163,7 +172,7 @@ class ServiceShard {
   void apply_command(cmd::Command& command);
   void apply(cmd::CmdFence& c);
   void apply(cmd::CmdSubmitPilot& c);
-  void apply(cmd::CmdSubmitUnit& c);
+  void apply(cmd::CmdSubmitUnits& c);
   void apply(cmd::CmdPilotActive& c);
   void apply(cmd::CmdPilotTerminated& c);
   void apply(cmd::CmdUnitDone& c);
@@ -190,11 +199,10 @@ class ServiceShard {
   void submit_pilot_apply(const std::string& pilot_id,
                           const PilotDescription& description,
                           int restarts_used);
-  void dispatch_unit_apply(const std::string& unit_id,
-                           const std::string& pilot_id);
-  void execute_unit_apply(const std::string& unit_id);
-  void finalize_unit_apply(UnitRecord& unit, const std::string& unit_id,
-                           UnitState final_state);
+  void submit_unit_apply(cmd::SubmittedUnit& submitted);
+  void dispatch_unit_apply(UnitKey key, const std::string& pilot_id);
+  void execute_unit_apply(UnitRecord& unit);
+  void finalize_unit_apply(UnitRecord& unit, UnitState final_state);
 
   /// Hand-over, victim side: removes queued units that fit one pilot
   /// with `free_cores` free and counts them in transit.
@@ -207,8 +215,13 @@ class ServiceShard {
   void balance_with_peers();
 
   PilotRecord& pilot_record(const std::string& pilot_id);
-  UnitRecord& unit_record(const std::string& unit_id);
-  UnitStateMachine::Observer make_unit_observer(const std::string& unit_id);
+  /// Attaches the shard's observer to `unit`'s machine. It captures only
+  /// `this` and the record, so it fits std::function's small buffer.
+  void observe_unit(UnitRecord& unit);
+  /// Every validated transition of a unit: journal, tracer, the
+  /// service-level observers, then the dirty list.
+  void unit_transitioned(UnitRecord& unit, UnitState from, UnitState to);
+  void mark_dirty(UnitRecord& unit);
 
   /// The instruments of the fixed-name pcs.* series; all null while no
   /// registry is attached.
@@ -249,22 +262,25 @@ class ServiceShard {
   int pilot_max_restarts_ = 0;
   std::vector<UnitObserver> unit_observers_;
   std::map<std::string, PilotRecord> pilots_;
-  std::map<std::string, UnitRecord> units_;  ///< live units only
+  /// Live units only. Node-based: observers hold record pointers.
+  std::unordered_map<UnitKey, UnitRecord> units_;
   /// Records retired by this publish, erased once the snapshot lock is
   /// released (publish_snapshot).
-  std::vector<std::map<std::string, UnitRecord>::iterator> retiring_;
+  std::vector<std::unordered_map<UnitKey, UnitRecord>::iterator> retiring_;
   std::set<std::string> dirty_pilots_;
-  std::set<std::string> dirty_units_;
+  /// Keys of records marked dirty this batch, in marking order; a key
+  /// may repeat after a hand-over and back (the flag dedupes).
+  std::vector<UnitKey> dirty_units_;
   /// This pass's launches grouped by pilot (batching runtimes only);
   /// handed to the runtime and emptied at the end of every pass.
   std::vector<std::pair<std::string, std::vector<UnitLaunch>>> launches_;
   /// Units handed away this batch: publish erases them from the read
-  /// model (fixing the unfinished count) before flushing dirty sets.
-  std::set<std::string> removed_units_;
+  /// model (fixing the unfinished count) before flushing dirty records.
+  std::vector<UnitKey> removed_units_;
   /// Units this shard's journal stream already holds that were handed
   /// away: one coming back resumes its existing record instead of being
   /// journaled as a fresh submission.
-  std::set<std::string> departed_units_;
+  std::unordered_set<UnitKey> departed_units_;
   bool first_submit_recorded_ = false;
   /// Units adopted this batch; released from the facade's in-transit
   /// counter only *after* the publish that makes them visible here.

@@ -9,7 +9,7 @@
 /// tests in tests/core/ meaningful.
 
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "pa/common/error.h"
 #include "pa/core/types.h"
@@ -45,8 +45,8 @@ class StateMachine {
     }
     const State from = state_;
     state_ = to;
-    for (const auto& obs : observers_) {
-      obs(from, to);
+    if (observer_) {
+      observer_(from, to);
     }
   }
 
@@ -63,11 +63,24 @@ class StateMachine {
     return true;
   }
 
-  void observe(Observer observer) { observers_.push_back(std::move(observer)); }
+  /// Adds an observer; each transition notifies them in the order they
+  /// were added. The machine holds one callable, so a single observer
+  /// that fits std::function's small buffer costs no allocation.
+  void observe(Observer observer) {
+    if (!observer_) {
+      observer_ = std::move(observer);
+      return;
+    }
+    observer_ = [first = std::move(observer_),
+                 next = std::move(observer)](State from, State to) {
+      first(from, to);
+      next(from, to);
+    };
+  }
 
  private:
   State state_;
-  std::vector<Observer> observers_;
+  Observer observer_;
 };
 
 using PilotStateMachine =

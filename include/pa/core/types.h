@@ -11,6 +11,7 @@
 /// **multi-level scheduling** (system-level LRMS + application-level
 /// pilot scheduler). These types are shared by both runtimes.
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -98,5 +99,9 @@ struct UnitTimes {
   double wait_time() const { return started - submitted; }
   double exec_time() const { return finished - started; }
 };
+
+/// What a shard's apply path keys a unit by: the ordinal n of the
+/// facade's "unit-<n>" id, parsed once when the unit reaches the shard.
+using UnitKey = std::uint64_t;
 
 }  // namespace pa::core

@@ -16,6 +16,9 @@
 /// blocking a FIFO head) — set the flag; time passing alone never does,
 /// because remaining walltime only shrinks.
 ///
+/// Units are keyed by the caller's `UnitKey` (a shard passes the ordinal
+/// of the unit's id); the id string is kept only for the scheduler views.
+///
 /// Thread-safety: none of its own. The manager is externally serialized —
 /// it is owned by PilotComputeService's control-plane apply context (one
 /// writer, see control_plane.h); standalone tests drive it
@@ -25,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "pa/core/admission.h"
@@ -46,8 +50,8 @@ class WorkloadManager {
                  double walltime_end);
 
   /// Removes a pilot (terminated). Returns the units that were bound to it
-  /// and must be requeued or failed by the caller.
-  std::vector<std::string> remove_pilot(const std::string& pilot_id);
+  /// and must be requeued or failed by the caller, in key order.
+  std::vector<UnitKey> remove_pilot(const std::string& pilot_id);
 
   bool has_pilot(const std::string& pilot_id) const;
   std::size_t pilot_count() const { return pilots_.size(); }
@@ -56,14 +60,14 @@ class WorkloadManager {
   /// unit_order() place it by sorted insertion instead, after its equals).
   /// `requeues` seeds the requeue budget a unit handed over from another
   /// shard already consumed.
-  void enqueue_unit(const std::string& unit_id,
+  void enqueue_unit(UnitKey key, const std::string& unit_id,
                     const ComputeUnitDescription& description,
                     int requeues = 0);
 
   /// A queued unit taken for hand-over to another shard, with the
   /// requeue budget it already consumed.
   struct TakenUnit {
-    std::string unit_id;
+    UnitKey key = 0;
     int requeues = 0;
   };
 
@@ -88,18 +92,18 @@ class WorkloadManager {
   /// preserving its original priority. Returns false — and drops the
   /// unit's requeue bookkeeping — when the unit has already been requeued
   /// max_requeues times; the caller must then fail the unit instead.
-  bool requeue_unit_front(const std::string& unit_id,
+  bool requeue_unit_front(UnitKey key, const std::string& unit_id,
                           const ComputeUnitDescription& description);
 
   /// Bounds per-unit requeues (-1 = unbounded). Takes effect for
   /// subsequent requeue_unit_front calls; existing counts are kept.
   void set_max_requeues(int max_requeues);
   int max_requeues() const { return max_requeues_; }
-  /// How often `unit_id` has been requeued so far (0 if never/forgotten).
-  int requeue_count(const std::string& unit_id) const;
+  /// How often the unit has been requeued so far (0 if never/forgotten).
+  int requeue_count(UnitKey key) const;
 
   /// Drops a queued unit (cancellation). Returns false if not queued.
-  bool remove_queued_unit(const std::string& unit_id);
+  bool remove_queued_unit(UnitKey key);
 
   std::size_t queued_units() const { return queue_.size(); }
   /// Queued unit ids in the order the strategy sees them (O(queued);
@@ -113,6 +117,13 @@ class WorkloadManager {
   /// True when something changed since the last executed pass, i.e. the
   /// next schedule_pass will actually run the strategy.
   bool dirty() const { return dirty_; }
+
+  /// A strategy decision the manager accepted, with the unit's key.
+  struct Binding {
+    UnitKey key = 0;
+    std::string unit_id;
+    std::string pilot_id;
+  };
 
   /// Runs the scheduling strategy over the current queue and capacity.
   /// Accepted assignments are applied (cores reserved, unit dequeued).
@@ -129,14 +140,14 @@ class WorkloadManager {
   /// is set), the sortedness check of the ordered policies
   /// (largest-first, shortest-first), and the fair-share interleave
   /// (only while two or more tenants have queued units).
-  std::vector<Assignment> schedule_pass(double now,
-                                        const DataServiceInterface* data);
+  std::vector<Binding> schedule_pass(double now,
+                                     const DataServiceInterface* data);
 
   /// Releases a finished/failed unit's cores on its pilot.
-  void unit_finished(const std::string& unit_id);
+  void unit_finished(UnitKey key);
 
   /// Which pilot a bound unit is on; throws pa::NotFound if not bound.
-  const std::string& bound_pilot(const std::string& unit_id) const;
+  const std::string& bound_pilot(UnitKey key) const;
 
   const Scheduler& scheduler() const { return *scheduler_; }
 
@@ -173,6 +184,7 @@ class WorkloadManager {
   };
 
   struct QueuedUnit {
+    UnitKey key = 0;
     std::string unit_id;
     int cores = 1;
     double expected_duration = 1.0;
@@ -186,7 +198,7 @@ class WorkloadManager {
     int cores = 1;
   };
 
-  static QueuedUnit make_queued(const std::string& unit_id,
+  static QueuedUnit make_queued(UnitKey key, const std::string& unit_id,
                                 const ComputeUnitDescription& description);
   /// View without locality info (filled per pass for units that have
   /// input data — see refresh_locality).
@@ -236,8 +248,8 @@ class WorkloadManager {
   /// queue_ and queue_views_ are parallel: same units, same positions.
   std::deque<QueuedUnit> queue_;
   std::deque<UnitView> queue_views_;
-  std::map<std::string, BoundUnit> bound_;
-  std::map<std::string, int> requeue_counts_;  ///< per live unit
+  std::unordered_map<UnitKey, BoundUnit> bound_;
+  std::unordered_map<UnitKey, int> requeue_counts_;  ///< per live unit
   /// Set by every mutation that could enable a placement; cleared when a
   /// pass executes. Starts clean: an empty manager has nothing to place.
   bool dirty_ = false;

@@ -9,10 +9,12 @@
 /// payload bytes; `append` encodes a `Record` first) — the wal itself is
 /// the staging area. Materialization into the
 /// `ManagerImage` (and its transition validation) is deferred: whenever
-/// the image is observed — `image()`, `compact()`, `close()` — the wal
-/// tail written since the last drain is read back and replayed, so the
+/// the image is observed — `image()`, `compact()` — the wal tail
+/// written since the last drain is read back and replayed, so the
 /// materialized state is exactly what a crash-recovery replay of the log
 /// would produce, by construction.
+/// `close()` reads the tail back too, but only to check it (frame CRCs
+/// and record count), without building the image.
 /// That equivalence is what makes periodic compaction safe: `compact()`
 /// drains, serializes the image, atomically replaces the snapshot, and
 /// empties the wal. A record that would replay illegally (not produced by
@@ -70,7 +72,8 @@ class Journal {
   /// Writes a snapshot of the current image and empties the wal.
   void compact() PA_EXCLUDES(mutex_);
 
-  /// Flushes and closes the wal writer. Idempotent.
+  /// Checks the undrained wal tail (throws once it diverged), then
+  /// flushes and closes the wal writer. Idempotent.
   void close() PA_EXCLUDES(mutex_);
 
   /// Copy of the materialized state (consistent snapshot).
@@ -88,12 +91,14 @@ class Journal {
 
  private:
   void compact_locked() PA_REQUIRES(mutex_);
-  /// Replays the wal tail appended since the last drain into the image
-  /// (mutex_ held; flushes the writer first), streaming it frame by frame
-  /// from `applied_bytes_`. Throws once the wal diverges from what was
-  /// appended. Const because the lazily-materialized image is logically
-  /// unchanged by draining.
-  void drain_image_locked() const PA_REQUIRES(mutex_);
+  /// Reads the wal tail appended since the last drain (mutex_ held;
+  /// flushes the writer first), streaming it frame by frame from
+  /// `applied_bytes_`. With `into` set (`&image_`) it drains: replays each
+  /// record into the image and advances the drain position. With `into`
+  /// null it only checks the tail. Throws, and keeps refusing, once the
+  /// wal diverges from what was appended. Const because the
+  /// lazily-materialized image is logically unchanged by draining.
+  void read_tail_locked(ManagerImage* into) const PA_REQUIRES(mutex_);
 
   const std::string dir_;
   const JournalConfig config_;
@@ -106,6 +111,7 @@ class Journal {
   mutable std::uint64_t applied_records_ PA_GUARDED_BY(mutex_) = 0;
   /// Set once a drain found the wal torn or short of the appended history.
   mutable bool diverged_ PA_GUARDED_BY(mutex_) = false;
+  bool closed_ PA_GUARDED_BY(mutex_) = false;
   std::unique_ptr<Writer> writer_;  ///< set in ctor, immutable after
   std::size_t records_since_snapshot_ PA_GUARDED_BY(mutex_) = 0;
   std::uint64_t records_appended_ PA_GUARDED_BY(mutex_) = 0;

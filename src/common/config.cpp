@@ -154,16 +154,16 @@ void Config::merge(const Config& other) {
 }
 
 std::string Config::to_string() const {
-  std::ostringstream oss;
-  bool first = true;
+  std::string out;
   for (const auto& [k, v] : values_) {
-    if (!first) {
-      oss << ",";
+    if (!out.empty()) {
+      out += ',';
     }
-    first = false;
-    oss << k << "=" << v;
+    out += k;
+    out += '=';
+    out += v;
   }
-  return oss.str();
+  return out;
 }
 
 }  // namespace pa

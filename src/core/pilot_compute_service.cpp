@@ -1,5 +1,6 @@
 #include "pa/core/pilot_compute_service.h"
 
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -193,9 +194,10 @@ ComputeUnit PilotComputeService::submit_unit(
     adm->admit_unit(tenant);  // throws pa::QuotaExceeded when over quota
   }
   const std::string unit_id = unit_ids_.next();
+  auto burst = cmd::CmdSubmitUnits{};
+  burst.units.push_back(cmd::SubmittedUnit{unit_id, std::move(desc)});
   try {
-    owner_of(unit_id).ctrl().post_and_wait(
-        cmd::Command{cmd::CmdSubmitUnit{unit_id, desc}});
+    owner_of(unit_id).ctrl().post_and_wait(cmd::Command{std::move(burst)});
   } catch (...) {
     if (adm != nullptr) {
       adm->unit_finalized(tenant, UnitState::kCanceled, -1.0);
@@ -209,31 +211,58 @@ std::vector<ComputeUnit> PilotComputeService::submit_units(
     const std::vector<ComputeUnitDescription>& descriptions) {
   std::vector<ComputeUnit> out;
   out.reserve(descriptions.size());
-  std::vector<bool> touched(shards_.size(), false);
-  AdmissionInterface* adm = admission_.load(std::memory_order_acquire);
-  for (const auto& d : descriptions) {
-    PA_REQUIRE_ARG(!shut_down_.load(std::memory_order_relaxed),
-                   "service is shut down");
-    PA_REQUIRE_ARG(d.cores > 0, "unit needs cores");
-    ComputeUnitDescription desc = d;
-    const std::string tenant = normalize_tenant(desc);
-    if (adm != nullptr) {
-      adm->admit_unit(tenant);  // rejects mid-burst; earlier units stand
-    }
-    const std::string unit_id = unit_ids_.next();
-    const auto shard = static_cast<std::size_t>(router_.shard_for_id(unit_id));
-    shards_[shard]->ctrl().post(
-        cmd::Command{cmd::CmdSubmitUnit{unit_id, std::move(desc)}});
-    touched[shard] = true;
-    out.push_back(ComputeUnit(unit_id, this));
+  // New ids route round-robin (no owner-table entry yet), so each shard
+  // gets an even share.
+  std::vector<cmd::CmdSubmitUnits> bursts(shards_.size());
+  for (auto& burst : bursts) {
+    burst.units.reserve(descriptions.size() / shards_.size() + 1);
   }
-  // One queue round-trip per touched shard for the whole burst: each fence
-  // flushes that shard's submits (per-producer FIFO) and its batch end
-  // publishes them.
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (touched[i]) {
-      shards_[i]->ctrl().post_and_wait(cmd::Command{cmd::CmdFence{}});
+  AdmissionInterface* adm = admission_.load(std::memory_order_acquire);
+  std::exception_ptr refusal;
+  try {
+    for (const auto& d : descriptions) {
+      PA_REQUIRE_ARG(!shut_down_.load(std::memory_order_relaxed),
+                     "service is shut down");
+      PA_REQUIRE_ARG(d.cores > 0, "unit needs cores");
+      ComputeUnitDescription desc = d;
+      const std::string tenant = normalize_tenant(desc);
+      if (adm != nullptr) {
+        adm->admit_unit(tenant);  // rejects mid-burst; earlier units stand
+      }
+      std::string unit_id = unit_ids_.next();
+      const auto shard =
+          static_cast<std::size_t>(router_.shard_for_id(unit_id));
+      out.push_back(ComputeUnit(unit_id, this));
+      bursts[shard].units.push_back(
+          cmd::SubmittedUnit{std::move(unit_id), std::move(desc)});
     }
+  } catch (...) {
+    refusal = std::current_exception();
+  }
+  // One command per touched shard, posted to all before waiting on any,
+  // so the shards apply their bursts in parallel; each wait returns after
+  // that shard's batch end published its units.
+  std::vector<ServiceShard::Ctrl::Ticket> tickets(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (!bursts[i].units.empty()) {
+      tickets[i] = shards_[i]->ctrl().post_for_wait(
+          cmd::Command{std::move(bursts[i])});
+    }
+  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (tickets[i] == nullptr) {
+      continue;
+    }
+    try {
+      shards_[i]->ctrl().wait(tickets[i]);
+    } catch (...) {
+      if (!refusal) {
+        refusal = std::current_exception();
+      }
+    }
+  }
+  if (refusal) {
+    std::rethrow_exception(refusal);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "pa/core/service_shard.h"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -69,20 +70,18 @@ bool ServiceShard::try_pilot_state(const std::string& pilot_id,
 
 bool ServiceShard::try_unit(const std::string& unit_id, UnitSnap* out) const {
   const std::int64_t key = final_key(unit_id);
-  check::MutexLock lock(snapshot_mutex_);
-  const auto it = model_.units.find(unit_id);
-  if (it != model_.units.end()) {
-    *out = it->second;
-    return true;
-  }
   if (key < 0) {
     return false;
   }
-  const auto fit = model_.final_units.find(static_cast<std::uint64_t>(key));
-  if (fit == model_.final_units.end()) {
-    return false;
+  check::MutexLock lock(snapshot_mutex_);
+  auto it = model_.units.find(static_cast<UnitKey>(key));
+  if (it == model_.units.end()) {
+    it = model_.final_units.find(static_cast<UnitKey>(key));
+    if (it == model_.final_units.end()) {
+      return false;
+    }
   }
-  *out = fit->second;
+  *out = it->second;
   return true;
 }
 
@@ -110,15 +109,6 @@ ServiceShard::PilotRecord& ServiceShard::pilot_record(
   const auto it = pilots_.find(pilot_id);
   if (it == pilots_.end()) {
     throw NotFound("unknown pilot: " + pilot_id);
-  }
-  return it->second;
-}
-
-ServiceShard::UnitRecord& ServiceShard::unit_record(
-    const std::string& unit_id) {
-  const auto it = units_.find(unit_id);
-  if (it == units_.end()) {
-    throw NotFound("unknown unit: " + unit_id);
   }
   return it->second;
 }
@@ -237,7 +227,7 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
 void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
   const std::string& pilot_id = c.pilot_id;
   auto& rec = pilot_record(pilot_id);
-  const std::vector<std::string> orphans = workload_.remove_pilot(pilot_id);
+  const std::vector<UnitKey> orphans = workload_.remove_pilot(pilot_id);
   rec.sm.try_transition(c.state);
   const double terminated_at = runtime_.now();
   if (tracer_ != nullptr) {
@@ -275,8 +265,8 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
   const bool restart = c.state == PilotState::kFailed &&
                        !shut_down_.load(std::memory_order_relaxed) &&
                        restarts_used < pilot_max_restarts_;
-  for (const auto& unit_id : orphans) {
-    const auto uit = units_.find(unit_id);
+  for (const UnitKey key : orphans) {
+    const auto uit = units_.find(key);
     if (uit == units_.end() || is_final(uit->second.sm.state())) {
       continue;  // final (retired at an earlier batch end, or this one)
     }
@@ -284,7 +274,7 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
     const bool want_requeue =
         requeue_on_pilot_failure_ && !unit.cancel_requested;
     if (want_requeue &&
-        workload_.requeue_unit_front(unit_id, unit.description)) {
+        workload_.requeue_unit_front(key, unit.id, unit.description)) {
       // Recovery: back to the queue; the unit re-runs on another pilot.
       unit.pilot_id.clear();
       {
@@ -299,21 +289,21 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
       // of the reset, then re-attached to the fresh machine).
       const UnitState prior = unit.sm.state();
       if (journal_ != nullptr) {
-        journal_->unit_requeued(unit_id, runtime_.now());
+        journal_->unit_requeued(unit.id, runtime_.now());
       }
       for (const auto& obs : unit_observers_) {
-        obs(unit_id, prior, UnitState::kPending);
+        obs(unit.id, prior, UnitState::kPending);
       }
       // lint:allow-state-reset — a requeue is the one sanctioned machine
       // replacement: the old machine's history ends (journaled above as
       // unit_requeued) and a fresh validated machine starts at PENDING.
       unit.sm = UnitStateMachine(UnitState::kPending);
-      unit.sm.observe(make_unit_observer(unit_id));
+      observe_unit(unit);
       ++unit.attempts;
       // Machine replacement fires no transition, so dirty the snapshot
       // entry by hand.
-      dirty_units_.insert(unit_id);
-      PA_LOG(kInfo, "pcs") << "requeued " << unit_id << " after pilot "
+      mark_dirty(unit);
+      PA_LOG(kInfo, "pcs") << "requeued " << unit.id << " after pilot "
                            << pilot_id << " terminated";
     } else {
       if (want_requeue) {
@@ -321,11 +311,11 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
         if (instruments_.units_failed_requeue_limit != nullptr) {
           instruments_.units_failed_requeue_limit->inc();
         }
-        PA_LOG(kWarn, "pcs") << unit_id << " exhausted its requeue bound "
+        PA_LOG(kWarn, "pcs") << unit.id << " exhausted its requeue bound "
                              << "after pilot " << pilot_id
                              << " terminated; failing it";
       }
-      finalize_unit_apply(unit, unit_id, UnitState::kFailed);
+      finalize_unit_apply(unit, UnitState::kFailed);
     }
   }
   if (restart) {
@@ -343,33 +333,65 @@ void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
   }
 }
 
-UnitStateMachine::Observer ServiceShard::make_unit_observer(
-    const std::string& unit_id) {
-  // Forward every transition of this unit to the journal, the tracer, the
-  // service-level observers, and the snapshot dirty set.
-  return [this, unit_id](UnitState from, UnitState to) {
-    if (journal_ != nullptr) {
-      journal_->unit_state(unit_id, to, runtime_.now());
-    }
-    if (tracer_ != nullptr) {
-      tracer_->event_at(runtime_.now(), "unit.state", unit_id, to_string(to));
-    }
-    for (const auto& obs : unit_observers_) {
-      obs(unit_id, from, to);
-    }
-    dirty_units_.insert(unit_id);
-  };
+void ServiceShard::observe_unit(UnitRecord& unit) {
+  unit.sm.observe([this, rec = &unit](UnitState from, UnitState to) {
+    unit_transitioned(*rec, from, to);
+  });
 }
 
-void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
+void ServiceShard::unit_transitioned(UnitRecord& unit, UnitState from,
+                                     UnitState to) {
+  if (journal_ != nullptr) {
+    journal_->unit_state(unit.id, to, runtime_.now());
+  }
+  if (tracer_ != nullptr) {
+    tracer_->event_at(runtime_.now(), "unit.state", unit.id, to_string(to));
+  }
+  for (const auto& obs : unit_observers_) {
+    obs(unit.id, from, to);
+  }
+  mark_dirty(unit);
+}
+
+void ServiceShard::mark_dirty(UnitRecord& unit) {
+  if (!unit.dirty) {
+    unit.dirty = true;
+    dirty_units_.push_back(unit.key);
+  }
+}
+
+void ServiceShard::apply(cmd::CmdSubmitUnits& c) {
+  // Each unit stands or falls on its own: a refused one is logged and
+  // dropped, and the first refusal goes back to the waiting caller.
+  std::exception_ptr first_refusal;
+  for (auto& submitted : c.units) {
+    try {
+      submit_unit_apply(submitted);
+    } catch (const std::exception& e) {
+      PA_LOG(kWarn, "pcs") << "refused " << submitted.unit_id << ": "
+                           << e.what();
+      if (!first_refusal) {
+        first_refusal = std::current_exception();
+      }
+    }
+  }
+  if (first_refusal) {
+    std::rethrow_exception(first_refusal);
+  }
+}
+
+void ServiceShard::submit_unit_apply(cmd::SubmittedUnit& submitted) {
   PA_REQUIRE_ARG(!shut_down_.load(std::memory_order_relaxed),
                  "service is shut down");
-  PA_REQUIRE_ARG(c.description.cores > 0, "unit needs cores");
-  const std::string& unit_id = c.unit_id;
-  auto [uit, inserted] = units_.try_emplace(unit_id);
-  PA_CHECK(inserted);
+  PA_REQUIRE_ARG(submitted.description.cores > 0, "unit needs cores");
+  const std::int64_t key = final_key(submitted.unit_id);
+  PA_CHECK_MSG(key >= 0, "unit id is not unit-<n>: " << submitted.unit_id);
+  auto [uit, inserted] = units_.try_emplace(static_cast<UnitKey>(key));
+  PA_CHECK_MSG(inserted, "unit already present: " << submitted.unit_id);
   UnitRecord& rec = uit->second;
-  rec.tenant = tenant_of(c.description);
+  rec.key = static_cast<UnitKey>(key);
+  rec.id = submitted.unit_id;
+  rec.tenant = tenant_of(submitted.description);
   rec.times.submitted = runtime_.now();
   if (!first_submit_recorded_) {
     first_submit_recorded_ = true;
@@ -377,26 +399,26 @@ void ServiceShard::apply(cmd::CmdSubmitUnit& c) {
     model_.metrics.first_submit_time = rec.times.submitted;
   }
   if (journal_ != nullptr) {
-    journal_->unit_submitted(unit_id, c.description, rec.times.submitted);
+    journal_->unit_submitted(rec.id, submitted.description,
+                             rec.times.submitted);
   }
   // The command is spent: move the description (its work closure, data
   // lists and attributes) into the record instead of copying it.
-  rec.description = std::move(c.description);
-  rec.sm.observe(make_unit_observer(unit_id));
+  rec.description = std::move(submitted.description);
+  observe_unit(rec);
   if (instruments_.units_submitted != nullptr) {
     instruments_.units_submitted->inc();
   }
   rec.sm.transition(UnitState::kPending);
-  workload_.enqueue_unit(unit_id, rec.description);
+  workload_.enqueue_unit(rec.key, rec.id, rec.description);
 }
 
 void ServiceShard::run_schedule_cycle() {
   // One coalesced pass per command batch (and per apply-thread timer
   // tick). The workload manager's dirty flag makes a pass over unchanged
   // state a counter bump and nothing else.
-  const auto assignments = workload_.schedule_pass(runtime_.now(), data_);
-  for (const auto& a : assignments) {
-    dispatch_unit_apply(a.unit_id, a.pilot_id);
+  for (const auto& b : workload_.schedule_pass(runtime_.now(), data_)) {
+    dispatch_unit_apply(b.key, b.pilot_id);
   }
   // Every unit is bound and RUNNING; a batching runtime now gets each
   // pilot's share of the pass (and of this batch's stage-in completions)
@@ -407,13 +429,15 @@ void ServiceShard::run_schedule_cycle() {
   launches_.clear();
 }
 
-void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
+void ServiceShard::dispatch_unit_apply(UnitKey key,
                                        const std::string& pilot_id) {
-  auto& unit = unit_record(unit_id);
+  const auto uit = units_.find(key);
+  PA_CHECK_MSG(uit != units_.end(), "bound unit without record: " << key);
+  UnitRecord& unit = uit->second;
   unit.pilot_id = pilot_id;
   unit.times.scheduled = runtime_.now();
   if (journal_ != nullptr) {
-    journal_->unit_bound(unit_id, pilot_id, unit.times.scheduled);
+    journal_->unit_bound(unit.id, pilot_id, unit.times.scheduled);
   }
   if (admission_ != nullptr) {
     // A grant of cores to this tenant (each re-dispatch after a requeue
@@ -426,7 +450,7 @@ void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
       data_ != nullptr && !unit.description.input_data.empty();
   if (!needs_staging) {
     unit.sm.transition(UnitState::kScheduled);
-    execute_unit_apply(unit_id);
+    execute_unit_apply(unit);
     return;
   }
 
@@ -439,17 +463,17 @@ void ServiceShard::dispatch_unit_apply(const std::string& unit_id,
   const std::string site = pilot.site;
   const int attempt = unit.attempts;
   for (const auto& du : unit.description.input_data) {
-    data_->stage_to_site(du, site, [this, unit_id, remaining, attempt]() {
+    data_->stage_to_site(du, site, [this, key, remaining, attempt]() {
       if (remaining->fetch_sub(1, std::memory_order_acq_rel) > 1) {
         return;
       }
-      ctrl_->post(cmd::Command{cmd::CmdStageInDone{unit_id, attempt}});
+      ctrl_->post(cmd::Command{cmd::CmdStageInDone{key, attempt}});
     });
   }
 }
 
 void ServiceShard::apply(cmd::CmdStageInDone& c) {
-  const auto it = units_.find(c.unit_id);
+  const auto it = units_.find(c.unit_key);
   if (it == units_.end() || c.attempt != it->second.attempts) {
     // Barrier of a superseded dispatch: dispatched units never move, so
     // a unit this shard no longer holds was requeued and handed over, or
@@ -464,25 +488,25 @@ void ServiceShard::apply(cmd::CmdStageInDone& c) {
     return;  // pilot died during staging; termination path requeued us
   }
   unit.sm.transition(UnitState::kScheduled);
-  execute_unit_apply(c.unit_id);
+  execute_unit_apply(unit);
 }
 
-void ServiceShard::execute_unit_apply(const std::string& unit_id) {
-  auto& unit = unit_record(unit_id);
+void ServiceShard::execute_unit_apply(UnitRecord& unit) {
   unit.sm.transition(UnitState::kRunning);
   unit.times.started = runtime_.now();
   // Tag the completion with the attempt number so a stale completion from
   // a terminated pilot cannot be mistaken for a later re-run's.
+  const UnitKey key = unit.key;
   const int attempt = unit.attempts;
-  UnitLaunch launch{unit_id, &unit.description,
-                    [this, unit_id, attempt](bool success) {
+  UnitLaunch launch{unit.id, &unit.description,
+                    [this, key, attempt](bool success) {
                       ctrl_->post(cmd::Command{
-                          cmd::CmdUnitDone{unit_id, success, attempt}});
+                          cmd::CmdUnitDone{key, success, attempt}});
                     }};
   if (!batch_launches_) {
     // Launch at bind: a runtime that gains nothing from a batch keeps
     // its per-unit timing.
-    runtime_.execute_unit(unit.pilot_id, unit.description, unit_id,
+    runtime_.execute_unit(unit.pilot_id, unit.description, unit.id,
                           std::move(launch.on_done));
     return;
   }
@@ -499,7 +523,7 @@ void ServiceShard::execute_unit_apply(const std::string& unit_id) {
 }
 
 void ServiceShard::apply(cmd::CmdUnitDone& c) {
-  const auto it = units_.find(c.unit_id);
+  const auto it = units_.find(c.unit_key);
   if (it == units_.end() || c.attempt != it->second.attempts) {
     // Completion of a superseded attempt (a unit this shard no longer
     // holds was requeued and handed over: dispatched units never move),
@@ -513,7 +537,7 @@ void ServiceShard::apply(cmd::CmdUnitDone& c) {
   if (unit.sm.state() != UnitState::kRunning) {
     return;  // requeued after pilot failure; this completion is stale
   }
-  workload_.unit_finished(c.unit_id);
+  workload_.unit_finished(c.unit_key);
 
   UnitState final_state = UnitState::kFailed;
   if (unit.cancel_requested) {
@@ -532,17 +556,16 @@ void ServiceShard::apply(cmd::CmdUnitDone& c) {
       }
     }
   }
-  finalize_unit_apply(unit, c.unit_id, final_state);
+  finalize_unit_apply(unit, final_state);
 }
 
 void ServiceShard::finalize_unit_apply(UnitRecord& unit,
-                                       const std::string& unit_id,
                                        UnitState final_state) {
   PA_CHECK_MSG(is_final(final_state),
-               "finalize with non-final state for " << unit_id);
+               "finalize with non-final state for " << unit.id);
   unit.times.finished = runtime_.now();
   unit.sm.try_transition(final_state);
-  dirty_units_.insert(unit_id);
+  mark_dirty(unit);
   const bool done = final_state == UnitState::kDone;
   const bool failed = final_state == UnitState::kFailed;
   {
@@ -566,9 +589,9 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
     admission_->unit_finalized(unit.tenant, final_state, wait);
   }
   if (tracer_ != nullptr && unit.times.started >= 0.0) {
-    tracer_->record_span("unit.wait", unit_id, unit.times.submitted,
+    tracer_->record_span("unit.wait", unit.id, unit.times.submitted,
                          unit.times.started);
-    tracer_->record_span("unit.exec", unit_id, unit.times.started,
+    tracer_->record_span("unit.exec", unit.id, unit.times.started,
                          unit.times.finished);
   }
   if (instruments_.units_done == nullptr) {
@@ -586,7 +609,9 @@ void ServiceShard::finalize_unit_apply(UnitRecord& unit,
 }
 
 void ServiceShard::apply(cmd::CmdCancelUnit& c) {
-  const auto it = units_.find(c.unit_id);
+  const std::int64_t key = final_key(c.unit_id);
+  const auto it =
+      key < 0 ? units_.end() : units_.find(static_cast<UnitKey>(key));
   if (it == units_.end()) {
     UnitSnap snap;
     if (try_unit(c.unit_id, &snap) && is_final(snap.state)) {
@@ -601,8 +626,8 @@ void ServiceShard::apply(cmd::CmdCancelUnit& c) {
     return;
   }
   unit.cancel_requested = true;
-  if (workload_.remove_queued_unit(c.unit_id)) {
-    finalize_unit_apply(unit, c.unit_id, UnitState::kCanceled);
+  if (workload_.remove_queued_unit(unit.key)) {
+    finalize_unit_apply(unit, UnitState::kCanceled);
   }
   // Otherwise the unit is staging or running; it records CANCELED when its
   // current attempt finishes (payloads are not forcibly interrupted).
@@ -697,18 +722,18 @@ void ServiceShard::apply(cmd::CmdObserveUnits& c) {
 
 cmd::CmdAdoptUnits ServiceShard::take_for_hand_over(int free_cores) {
   auto adopt = cmd::CmdAdoptUnits{};
-  for (auto& taken : workload_.take_queued_units(free_cores)) {
-    const auto it = units_.find(taken.unit_id);
+  for (const auto& taken : workload_.take_queued_units(free_cores)) {
+    const auto it = units_.find(taken.key);
     PA_CHECK_MSG(it != units_.end(), "queued unit without record");
     UnitRecord& u = it->second;
     adopt.units.push_back(cmd::HandedOverUnit{
-        taken.unit_id, std::move(u.description), std::move(u.tenant),
-        u.attempts, u.times, taken.requeues, u.handovers + 1});
-    units_.erase(it);
-    dirty_units_.erase(taken.unit_id);
-    removed_units_.insert(taken.unit_id);
+        taken.key, std::move(u.id), std::move(u.description),
+        std::move(u.tenant), u.attempts, u.times, taken.requeues,
+        u.handovers + 1});
+    units_.erase(it);  // a dirty-list entry for it is skipped at publish
+    removed_units_.push_back(taken.key);
     if (journal_ != nullptr) {
-      departed_units_.insert(taken.unit_id);
+      departed_units_.insert(taken.key);
     }
   }
   // The facade's unfinished count must never dip while units are between
@@ -767,13 +792,17 @@ void ServiceShard::apply(cmd::CmdAdoptUnits& c) {
     // shard's stream already holds (PENDING, unbound); any other is
     // journaled as an adoption chain (submitted + PENDING). Merged
     // recovery dedupes by id, and terminal states win.
-    const bool returning = departed_units_.erase(h.unit_id) > 0;
+    const bool returning = departed_units_.erase(h.unit_key) > 0;
     if (journal_ != nullptr && !returning) {
       journal_->unit_submitted(h.unit_id, h.description, now);
       journal_->unit_state(h.unit_id, UnitState::kPending, now);
     }
-    workload_.enqueue_unit(h.unit_id, h.description, h.requeues);
-    UnitRecord u;
+    workload_.enqueue_unit(h.unit_key, h.unit_id, h.description, h.requeues);
+    auto [uit, inserted] = units_.try_emplace(h.unit_key);
+    PA_CHECK_MSG(inserted, "handed-over unit already present: " << h.unit_id);
+    UnitRecord& u = uit->second;
+    u.key = h.unit_key;
+    u.id = std::move(h.unit_id);
     u.description = std::move(h.description);
     u.tenant = std::move(h.tenant);
     u.times = h.times;
@@ -782,10 +811,8 @@ void ServiceShard::apply(cmd::CmdAdoptUnits& c) {
     // Reach PENDING before observing: the unit's observers already saw
     // NEW -> PENDING on the shard it was submitted to.
     u.sm.transition(UnitState::kPending);
-    auto [uit, inserted] = units_.emplace(h.unit_id, std::move(u));
-    PA_CHECK_MSG(inserted, "handed-over unit already present: " << h.unit_id);
-    uit->second.sm.observe(make_unit_observer(h.unit_id));
-    dirty_units_.insert(h.unit_id);
+    observe_unit(u);
+    mark_dirty(u);
   }
   pending_transit_release_ += static_cast<std::int64_t>(c.units.size());
 }
@@ -878,8 +905,8 @@ void ServiceShard::publish_snapshot() {
     // Removals first (hand-overs): the authoritative records are gone from
     // this shard, so drop their read-model entries and stop counting them
     // here (the in-transit counter carries them until the thief publishes).
-    for (const auto& uid : removed_units_) {
-      const auto it = m.units.find(uid);
+    for (const UnitKey key : removed_units_) {
+      const auto it = m.units.find(key);
       if (it != m.units.end()) {
         if (!is_final(it->second.state)) {
           --m.unfinished;
@@ -890,12 +917,16 @@ void ServiceShard::publish_snapshot() {
     for (const auto& pid : dirty_pilots_) {
       m.pilot_states[pid] = pilots_.at(pid).sm.state();
     }
-    for (const auto& uid : dirty_units_) {
-      const auto rit = units_.find(uid);
-      PA_CHECK_MSG(rit != units_.end(), "dirty unit without record: " << uid);
-      const UnitSnap snap{rit->second.sm.state(), rit->second.times};
+    for (const UnitKey key : dirty_units_) {
+      const auto rit = units_.find(key);
+      if (rit == units_.end() || !rit->second.dirty) {
+        continue;  // handed away, or a repeat already published
+      }
+      UnitRecord& rec = rit->second;
+      rec.dirty = false;
+      const UnitSnap snap{rec.sm.state(), rec.times};
       const bool now_final = is_final(snap.state);
-      const auto it = m.units.find(uid);
+      const auto it = m.units.find(key);
       // An entry in `units` is live: a final unit retires below, and its
       // record is never dirty again.
       if (it == m.units.end() && !now_final) {
@@ -905,16 +936,14 @@ void ServiceShard::publish_snapshot() {
       }
       if (!now_final) {
         if (it == m.units.end()) {
-          m.units.emplace(uid, snap);
+          m.units.emplace(key, snap);
         } else {
           it->second = snap;
         }
         continue;
       }
       // Retire: observers, journal and metrics have seen the final state.
-      const std::int64_t key = final_key(uid);
-      PA_CHECK_MSG(key >= 0, "unit id is not unit-<n>: " << uid);
-      m.final_units.emplace(static_cast<std::uint64_t>(key), snap);
+      m.final_units.emplace(key, snap);
       if (it != m.units.end()) {
         m.units.erase(it);
       }

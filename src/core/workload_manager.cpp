@@ -42,7 +42,7 @@ void WorkloadManager::add_pilot(const std::string& pilot_id,
   dirty_ = true;  // new capacity: queued units may fit now
 }
 
-std::vector<std::string> WorkloadManager::remove_pilot(
+std::vector<UnitKey> WorkloadManager::remove_pilot(
     const std::string& pilot_id) {
   const auto it = pilots_.find(pilot_id);
   if (it == pilots_.end()) {
@@ -55,7 +55,7 @@ std::vector<std::string> WorkloadManager::remove_pilot(
                    [&](const PilotView& pv) {
                      return pv.pilot_id == pilot_id;
                    }));
-  std::vector<std::string> orphans;
+  std::vector<UnitKey> orphans;
   for (auto bit = bound_.begin(); bit != bound_.end();) {
     if (bit->second.pilot_id == pilot_id) {
       orphans.push_back(bit->first);
@@ -64,6 +64,8 @@ std::vector<std::string> WorkloadManager::remove_pilot(
       ++bit;
     }
   }
+  // Hash order is arbitrary; the caller requeues in this order.
+  std::sort(orphans.begin(), orphans.end());
   // Shrinking capacity cannot enable a placement, but policy choices
   // (rotation, affinity) change with the pilot set — cheap to re-run.
   dirty_ = true;
@@ -75,8 +77,10 @@ bool WorkloadManager::has_pilot(const std::string& pilot_id) const {
 }
 
 WorkloadManager::QueuedUnit WorkloadManager::make_queued(
-    const std::string& unit_id, const ComputeUnitDescription& description) {
+    UnitKey key, const std::string& unit_id,
+    const ComputeUnitDescription& description) {
   QueuedUnit q;
+  q.key = key;
   q.unit_id = unit_id;
   q.cores = description.cores;
   q.expected_duration = description.duration;
@@ -128,16 +132,16 @@ void WorkloadManager::unqueue_tenant(const std::string& tenant) {
   }
 }
 
-void WorkloadManager::enqueue_unit(const std::string& unit_id,
+void WorkloadManager::enqueue_unit(UnitKey key, const std::string& unit_id,
                                    const ComputeUnitDescription& description,
                                    int requeues) {
   PA_REQUIRE_ARG(description.cores > 0, "unit needs cores: " << unit_id);
-  PA_REQUIRE_ARG(bound_.find(unit_id) == bound_.end(),
+  PA_REQUIRE_ARG(bound_.find(key) == bound_.end(),
                  "unit already bound: " << unit_id);
   if (requeues > 0) {
-    requeue_counts_[unit_id] = requeues;
+    requeue_counts_[key] = requeues;
   }
-  insert_queued(make_queued(unit_id, description), /*front=*/false);
+  insert_queued(make_queued(key, unit_id, description), /*front=*/false);
 }
 
 std::vector<WorkloadManager::TakenUnit> WorkloadManager::take_queued_units(
@@ -149,9 +153,8 @@ std::vector<WorkloadManager::TakenUnit> WorkloadManager::take_queued_units(
     if (queue_[i].cores <= free_cores) {
       free_cores -= queue_[i].cores;
       take[i] = 1;
-      taken.push_back(TakenUnit{queue_[i].unit_id,
-                                requeue_count(queue_[i].unit_id)});
-      requeue_counts_.erase(queue_[i].unit_id);
+      taken.push_back(TakenUnit{queue_[i].key, requeue_count(queue_[i].key)});
+      requeue_counts_.erase(queue_[i].key);
     }
   }
   if (!taken.empty()) {
@@ -182,14 +185,15 @@ void WorkloadManager::erase_taken(const std::vector<char>& taken) {
 }
 
 bool WorkloadManager::requeue_unit_front(
-    const std::string& unit_id, const ComputeUnitDescription& description) {
-  int& count = requeue_counts_[unit_id];
+    UnitKey key, const std::string& unit_id,
+    const ComputeUnitDescription& description) {
+  int& count = requeue_counts_[key];
   if (max_requeues_ >= 0 && count >= max_requeues_) {
-    requeue_counts_.erase(unit_id);  // caller fails the unit; forget it
+    requeue_counts_.erase(key);  // caller fails the unit; forget it
     return false;
   }
   ++count;
-  insert_queued(make_queued(unit_id, description), /*front=*/true);
+  insert_queued(make_queued(key, unit_id, description), /*front=*/true);
   return true;
 }
 
@@ -199,22 +203,22 @@ void WorkloadManager::set_max_requeues(int max_requeues) {
   max_requeues_ = max_requeues;
 }
 
-int WorkloadManager::requeue_count(const std::string& unit_id) const {
-  const auto it = requeue_counts_.find(unit_id);
+int WorkloadManager::requeue_count(UnitKey key) const {
+  const auto it = requeue_counts_.find(key);
   return it == requeue_counts_.end() ? 0 : it->second;
 }
 
-bool WorkloadManager::remove_queued_unit(const std::string& unit_id) {
+bool WorkloadManager::remove_queued_unit(UnitKey key) {
   const auto it =
       std::find_if(queue_.begin(), queue_.end(),
-                   [&](const QueuedUnit& q) { return q.unit_id == unit_id; });
+                   [key](const QueuedUnit& q) { return q.key == key; });
   if (it == queue_.end()) {
     return false;
   }
   unqueue_tenant(it->tenant);
   queue_views_.erase(queue_views_.begin() + (it - queue_.begin()));
   queue_.erase(it);
-  requeue_counts_.erase(unit_id);
+  requeue_counts_.erase(key);
   // The removed unit may have been blocking a FIFO head-of-line pass.
   dirty_ = true;
   return true;
@@ -342,7 +346,7 @@ bool WorkloadManager::fair_share_order(std::vector<std::size_t>* order) {
   return true;
 }
 
-std::vector<Assignment> WorkloadManager::schedule_pass(
+std::vector<WorkloadManager::Binding> WorkloadManager::schedule_pass(
     double now, const DataServiceInterface* data) {
   if (!dirty_) {
     // Nothing changed since the last pass. Time advancing alone never
@@ -402,9 +406,9 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
   // up to the deepest accepted position, so the apply step costs what the
   // strategy scanned, not the queue depth.
   std::vector<char> taken;
-  std::vector<Assignment> accepted;
+  std::vector<Binding> accepted;
   accepted.reserve(proposed.size());
-  for (const auto& a : proposed) {
+  for (auto& a : proposed) {
     const auto pit = pilots_.find(a.pilot_id);
     PA_CHECK_MSG(pit != pilots_.end(),
                  "scheduler assigned to unknown pilot " << a.pilot_id);
@@ -428,14 +432,15 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
                  "scheduler oversubscribed pilot " << a.pilot_id);
     pit->second.free_cores -= q.cores;
     site_free_cores_[pit->second.site] -= q.cores;
-    bound_.emplace(a.unit_id, BoundUnit{a.pilot_id, q.cores});
+    bound_.emplace(q.key, BoundUnit{a.pilot_id, q.cores});
     if (interleaved) {
       // Actual service: only granted cores pay down the tenant's deficit
       // (laying a unit out in the interleave is not service).
       drr_deficit_[q.tenant] -= static_cast<double>(q.cores);
     }
     taken[qi] = 1;
-    accepted.push_back(a);
+    accepted.push_back(
+        Binding{q.key, std::move(a.unit_id), std::move(a.pilot_id)});
   }
   if (!accepted.empty()) {
     erase_taken(taken);
@@ -456,8 +461,8 @@ std::vector<Assignment> WorkloadManager::schedule_pass(
   return accepted;
 }
 
-void WorkloadManager::unit_finished(const std::string& unit_id) {
-  const auto it = bound_.find(unit_id);
+void WorkloadManager::unit_finished(UnitKey key) {
+  const auto it = bound_.find(key);
   if (it == bound_.end()) {
     return;  // pilot already removed (termination race) — nothing to free
   }
@@ -470,14 +475,13 @@ void WorkloadManager::unit_finished(const std::string& unit_id) {
     dirty_ = true;  // capacity grew: queued units may fit now
   }
   bound_.erase(it);
-  requeue_counts_.erase(unit_id);
+  requeue_counts_.erase(key);
 }
 
-const std::string& WorkloadManager::bound_pilot(
-    const std::string& unit_id) const {
-  const auto it = bound_.find(unit_id);
+const std::string& WorkloadManager::bound_pilot(UnitKey key) const {
+  const auto it = bound_.find(key);
   if (it == bound_.end()) {
-    throw NotFound("unit not bound: " + unit_id);
+    throw NotFound("unit not bound: " + std::to_string(key));
   }
   return it->second.pilot_id;
 }

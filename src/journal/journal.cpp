@@ -75,7 +75,7 @@ std::uint64_t Journal::append_payload(std::string_view payload) {
   return seq;
 }
 
-void Journal::drain_image_locked() const {
+void Journal::read_tail_locked(ManagerImage* into) const {
   const auto diverged = [this] {
     return Error("journal wal " + wal_path(dir_) +
                  " diverged from appended history (torn or truncated "
@@ -87,21 +87,29 @@ void Journal::drain_image_locked() const {
   if (applied_records_ == records_appended_) {
     return;
   }
-  // Settle the wal, then replay the bytes appended since the last drain,
+  // Settle the wal, then read the bytes appended since the last drain,
   // one frame at a time — materializing the image from the log keeps the
   // two equivalent by construction.
   writer_->flush();
   const ScanSummary tail = scan_file(
-      wal_path(dir_), [this](Record&& record) { image_.apply(record); },
+      wal_path(dir_),
+      [into](Record&& record) {
+        if (into != nullptr) {
+          into->apply(record);
+        }
+      },
       applied_bytes_);
   if (tail.torn || applied_records_ + tail.record_count != records_appended_) {
-    // The image already holds the frames read before the divergence, so
-    // it matches no history any more: every later drain refuses too.
+    // The wal no longer matches what was appended, and a drain has
+    // applied the frames read before the divergence, so the image matches
+    // no history either: every later read refuses too.
     diverged_ = true;
     throw diverged();
   }
-  applied_records_ += tail.record_count;
-  applied_bytes_ = tail.valid_bytes;
+  if (into != nullptr) {
+    applied_records_ += tail.record_count;
+    applied_bytes_ = tail.valid_bytes;
+  }
 }
 
 void Journal::flush() {
@@ -115,7 +123,7 @@ void Journal::compact() {
 }
 
 void Journal::compact_locked() {
-  drain_image_locked();
+  read_tail_locked(&image_);
   writer_->flush();
   Snapshot::write(snapshot_path(dir_), image_);
   writer_->truncate_log();
@@ -130,13 +138,21 @@ void Journal::compact_locked() {
 
 void Journal::close() {
   check::MutexLock lock(mutex_);
-  drain_image_locked();
+  if (closed_) {
+    return;
+  }
+  // Check the undrained tail without materializing it: nothing reads the
+  // image at close, and replaying a campaign's tail into it would hold
+  // the whole history since the last compaction in memory. image() still
+  // drains it afterwards.
+  read_tail_locked(nullptr);
   writer_->close();
+  closed_ = true;
 }
 
 ManagerImage Journal::image() const {
   check::MutexLock lock(mutex_);
-  drain_image_locked();
+  read_tail_locked(&image_);
   return image_;
 }
 

@@ -84,6 +84,22 @@ TEST(Config, RoundTripToString) {
   EXPECT_EQ(cfg.to_string(), "a=2,z=1");
 }
 
+TEST(Config, ToStringBytesArePinned) {
+  // The rendering travels on the wire (unit and pilot attributes), so
+  // its exact bytes are part of the protocol.
+  EXPECT_EQ(Config().to_string(), "");
+  Config one;
+  one.set("tenant", std::string("alice"));
+  EXPECT_EQ(one.to_string(), "tenant=alice");
+  Config several;
+  several.set("preferred_site", std::string("hpc-a"));
+  several.set("n", std::int64_t{42});
+  several.set("empty", std::string());
+  several.set("flag", true);
+  EXPECT_EQ(several.to_string(),
+            "empty=,flag=true,n=42,preferred_site=hpc-a");
+}
+
 TEST(Config, KeysSorted) {
   const Config cfg = Config::parse("beta=1,alpha=2");
   const auto keys = cfg.keys();

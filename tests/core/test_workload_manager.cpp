@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,23 @@
 
 namespace pa::core {
 namespace {
+
+/// The manager keys units by integer; these tests name them by string,
+/// and each distinct name gets its own key, in first-use order.
+UnitKey key(const std::string& id) {
+  static std::map<std::string, UnitKey> keys;
+  return keys.try_emplace(id, keys.size()).first->second;
+}
+
+void enqueue(WorkloadManager& wm, const std::string& id,
+             const ComputeUnitDescription& description, int requeues = 0) {
+  wm.enqueue_unit(key(id), id, description, requeues);
+}
+
+bool requeue_front(WorkloadManager& wm, const std::string& id,
+                   const ComputeUnitDescription& description) {
+  return wm.requeue_unit_front(key(id), id, description);
+}
 
 ComputeUnitDescription unit_desc(int cores = 1, double duration = 1.0) {
   ComputeUnitDescription d;
@@ -24,32 +42,32 @@ ComputeUnitDescription unit_desc(int cores = 1, double duration = 1.0) {
 TEST(WorkloadManager, SchedulesQueuedUnitsOntoPilot) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
-  wm.enqueue_unit("u1", unit_desc(2));
-  wm.enqueue_unit("u2", unit_desc(2));
-  wm.enqueue_unit("u3", unit_desc(2));
+  enqueue(wm, "u1", unit_desc(2));
+  enqueue(wm, "u2", unit_desc(2));
+  enqueue(wm, "u3", unit_desc(2));
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(wm.free_cores("p1"), 0);
   EXPECT_EQ(wm.queued_units(), 1u);
-  EXPECT_EQ(wm.bound_pilot("u1"), "p1");
+  EXPECT_EQ(wm.bound_pilot(key("u1")), "p1");
 }
 
 TEST(WorkloadManager, UnitFinishedReleasesCores) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
-  wm.enqueue_unit("u1", unit_desc(2));
+  enqueue(wm, "u1", unit_desc(2));
   wm.schedule_pass(0.0, nullptr);
   EXPECT_EQ(wm.free_cores("p1"), 0);
-  wm.unit_finished("u1");
+  wm.unit_finished(key("u1"));
   EXPECT_EQ(wm.free_cores("p1"), 2);
-  EXPECT_THROW(wm.bound_pilot("u1"), pa::NotFound);
+  EXPECT_THROW(wm.bound_pilot(key("u1")), pa::NotFound);
 }
 
 TEST(WorkloadManager, RemovePilotReturnsOrphans) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
-  wm.enqueue_unit("u1", unit_desc(2));
-  wm.enqueue_unit("u2", unit_desc(2));
+  enqueue(wm, "u1", unit_desc(2));
+  enqueue(wm, "u2", unit_desc(2));
   wm.schedule_pass(0.0, nullptr);
   const auto orphans = wm.remove_pilot("p1");
   ASSERT_EQ(orphans.size(), 2u);
@@ -64,10 +82,10 @@ TEST(WorkloadManager, RemoveUnknownPilotReturnsEmpty) {
 
 TEST(WorkloadManager, RequeueFrontPreservesPriority) {
   WorkloadManager wm(make_scheduler("fifo"));
-  wm.enqueue_unit("u1", unit_desc(1));
-  wm.enqueue_unit("u2", unit_desc(1));
+  enqueue(wm, "u1", unit_desc(1));
+  enqueue(wm, "u2", unit_desc(1));
   // Simulate recovery: u9 re-enters at the front.
-  wm.requeue_unit_front("u9", unit_desc(1));
+  requeue_front(wm, "u9", unit_desc(1));
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
@@ -76,26 +94,26 @@ TEST(WorkloadManager, RequeueFrontPreservesPriority) {
 
 TEST(WorkloadManager, RemoveQueuedUnit) {
   WorkloadManager wm(make_scheduler("backfill"));
-  wm.enqueue_unit("u1", unit_desc(1));
-  EXPECT_TRUE(wm.remove_queued_unit("u1"));
-  EXPECT_FALSE(wm.remove_queued_unit("u1"));
+  enqueue(wm, "u1", unit_desc(1));
+  EXPECT_TRUE(wm.remove_queued_unit(key("u1")));
+  EXPECT_FALSE(wm.remove_queued_unit(key("u1")));
   EXPECT_EQ(wm.queued_units(), 0u);
 }
 
 TEST(WorkloadManager, NoSchedulingWithoutPilots) {
   WorkloadManager wm(make_scheduler("backfill"));
-  wm.enqueue_unit("u1", unit_desc(1));
+  enqueue(wm, "u1", unit_desc(1));
   EXPECT_TRUE(wm.schedule_pass(0.0, nullptr).empty());
 }
 
 TEST(WorkloadManager, WalltimeExpiryBlocksBinding) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.add_pilot("p1", "a", 4, 0, 0.0, /*walltime_end=*/100.0);
-  wm.enqueue_unit("u1", unit_desc(1, /*duration=*/200.0));
+  enqueue(wm, "u1", unit_desc(1, /*duration=*/200.0));
   // At t=0, 200s of work does not fit in 100s of remaining walltime.
   EXPECT_TRUE(wm.schedule_pass(0.0, nullptr).empty());
   // A short unit does fit.
-  wm.enqueue_unit("u2", unit_desc(1, 50.0));
+  enqueue(wm, "u2", unit_desc(1, 50.0));
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "u2");
@@ -112,7 +130,7 @@ TEST(WorkloadManager, TotalFreeCores) {
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
   wm.add_pilot("p2", "b", 8, 0, 0.0, 1e9);
   EXPECT_EQ(wm.total_free_cores(), 12);
-  wm.enqueue_unit("u1", unit_desc(3));
+  enqueue(wm, "u1", unit_desc(3));
   wm.schedule_pass(0.0, nullptr);
   EXPECT_EQ(wm.total_free_cores(), 9);
 }
@@ -138,7 +156,7 @@ TEST(WorkloadManager, DataServiceDrivesAffinity) {
   wm.add_pilot("p2", "b", 4, 0, 0.0, 1e9);
   ComputeUnitDescription d = unit_desc(1);
   d.input_data = {"du-1"};
-  wm.enqueue_unit("u1", d);
+  enqueue(wm, "u1", d);
   FakeData data;
   const auto out = wm.schedule_pass(0.0, &data);
   ASSERT_EQ(out.size(), 1u);
@@ -151,7 +169,7 @@ TEST(WorkloadManager, PreferredSiteAttributeFlowsThrough) {
   wm.add_pilot("p2", "b", 4, 0, 0.0, 1e9);
   ComputeUnitDescription d = unit_desc(1);
   d.attributes.set("preferred_site", std::string("b"));
-  wm.enqueue_unit("u1", d);
+  enqueue(wm, "u1", d);
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].pilot_id, "p2");
@@ -160,46 +178,46 @@ TEST(WorkloadManager, PreferredSiteAttributeFlowsThrough) {
 TEST(WorkloadManager, InvalidInputsRejected) {
   WorkloadManager wm(make_scheduler("backfill"));
   EXPECT_THROW(wm.add_pilot("p", "a", 0, 0, 0.0, 1e9), pa::InvalidArgument);
-  EXPECT_THROW(wm.enqueue_unit("u", unit_desc(0)), pa::InvalidArgument);
+  EXPECT_THROW(enqueue(wm, "u", unit_desc(0)), pa::InvalidArgument);
   EXPECT_THROW(wm.free_cores("ghost"), pa::NotFound);
   EXPECT_THROW(WorkloadManager(nullptr), pa::InvalidArgument);
 }
 
 TEST(WorkloadManager, UnitFinishedOnUnboundIsNoOp) {
   WorkloadManager wm(make_scheduler("backfill"));
-  wm.unit_finished("ghost");  // must not throw (pilot-failure races)
+  wm.unit_finished(key("ghost"));  // must not throw (pilot-failure races)
   SUCCEED();
 }
 
 TEST(WorkloadManager, RequeueBoundRefusesAfterMax) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.set_max_requeues(2);
-  EXPECT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
-  EXPECT_EQ(wm.requeue_count("u1"), 1);
-  EXPECT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
-  EXPECT_EQ(wm.requeue_count("u1"), 2);
-  EXPECT_FALSE(wm.requeue_unit_front("u1", unit_desc()));
+  EXPECT_TRUE(requeue_front(wm, "u1", unit_desc()));
+  EXPECT_EQ(wm.requeue_count(key("u1")), 1);
+  EXPECT_TRUE(requeue_front(wm, "u1", unit_desc()));
+  EXPECT_EQ(wm.requeue_count(key("u1")), 2);
+  EXPECT_FALSE(requeue_front(wm, "u1", unit_desc()));
   // Other units keep their own budget.
-  EXPECT_TRUE(wm.requeue_unit_front("u2", unit_desc()));
+  EXPECT_TRUE(requeue_front(wm, "u2", unit_desc()));
 }
 
 TEST(WorkloadManager, RequeueCountClearedWhenUnitFinishes) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.set_max_requeues(1);
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
-  EXPECT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
+  EXPECT_TRUE(requeue_front(wm, "u1", unit_desc()));
   wm.schedule_pass(0.0, nullptr);  // binds u1 to p1
-  wm.unit_finished("u1");          // terminal: forget the requeue history
-  EXPECT_EQ(wm.requeue_count("u1"), 0);
-  EXPECT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
+  wm.unit_finished(key("u1"));  // terminal: forget the requeue history
+  EXPECT_EQ(wm.requeue_count(key("u1")), 0);
+  EXPECT_TRUE(requeue_front(wm, "u1", unit_desc()));
 }
 
 TEST(WorkloadManager, RequeueCountClearedWhenQueuedUnitRemoved) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.set_max_requeues(1);
-  EXPECT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
-  EXPECT_TRUE(wm.remove_queued_unit("u1"));  // cancellation
-  EXPECT_EQ(wm.requeue_count("u1"), 0);
+  EXPECT_TRUE(requeue_front(wm, "u1", unit_desc()));
+  EXPECT_TRUE(wm.remove_queued_unit(key("u1")));  // cancellation
+  EXPECT_EQ(wm.requeue_count(key("u1")), 0);
 }
 
 TEST(WorkloadManager, RequeueUnboundedWhenNegative) {
@@ -207,9 +225,10 @@ TEST(WorkloadManager, RequeueUnboundedWhenNegative) {
   wm.set_max_requeues(-1);
   // Well past the default bound: -1 really means unbounded.
   for (int i = 0; i < WorkloadManager::kDefaultMaxRequeues + 100; ++i) {
-    ASSERT_TRUE(wm.requeue_unit_front("u1", unit_desc()));
+    ASSERT_TRUE(requeue_front(wm, "u1", unit_desc()));
   }
-  EXPECT_EQ(wm.requeue_count("u1"), WorkloadManager::kDefaultMaxRequeues + 100);
+  EXPECT_EQ(wm.requeue_count(key("u1")),
+            WorkloadManager::kDefaultMaxRequeues + 100);
   EXPECT_THROW(wm.set_max_requeues(-2), pa::InvalidArgument);
 }
 
@@ -222,8 +241,8 @@ TEST(WorkloadManager, CleanPassIsSkipped) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.set_metrics(&reg);
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("u1", unit_desc(1));
-  wm.enqueue_unit("u2", unit_desc(1));  // does not fit: stays queued
+  enqueue(wm, "u1", unit_desc(1));
+  enqueue(wm, "u2", unit_desc(1));  // does not fit: stays queued
   EXPECT_TRUE(wm.dirty());
   EXPECT_EQ(wm.schedule_pass(0.0, nullptr).size(), 1u);
   EXPECT_FALSE(wm.dirty());
@@ -240,11 +259,11 @@ TEST(WorkloadManager, CapacityReleaseDirtiesAndReschedules) {
   WorkloadManager wm(make_scheduler("backfill"));
   wm.set_metrics(&reg);
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("u1", unit_desc(1));
-  wm.enqueue_unit("u2", unit_desc(1));
-  wm.schedule_pass(0.0, nullptr);     // binds u1, u2 blocked
-  wm.schedule_pass(1.0, nullptr);     // skipped
-  wm.unit_finished("u1");             // core freed: dirty again
+  enqueue(wm, "u1", unit_desc(1));
+  enqueue(wm, "u2", unit_desc(1));
+  wm.schedule_pass(0.0, nullptr);  // binds u1, u2 blocked
+  wm.schedule_pass(1.0, nullptr);  // skipped
+  wm.unit_finished(key("u1"));     // core freed: dirty again
   EXPECT_TRUE(wm.dirty());
   const auto out = wm.schedule_pass(2.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
@@ -258,7 +277,7 @@ TEST(WorkloadManager, EnqueueAndPilotChangesDirty) {
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
   wm.schedule_pass(0.0, nullptr);
   EXPECT_FALSE(wm.dirty());
-  wm.enqueue_unit("u1", unit_desc(1));
+  enqueue(wm, "u1", unit_desc(1));
   EXPECT_TRUE(wm.dirty());
   wm.schedule_pass(1.0, nullptr);
   EXPECT_FALSE(wm.dirty());
@@ -271,11 +290,11 @@ TEST(WorkloadManager, RemovingQueuedUnitDirtiesFifoHead) {
   // re-enable a pass, or the queue would stall until unrelated churn.
   WorkloadManager wm(make_scheduler("fifo"));
   wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
-  wm.enqueue_unit("big", unit_desc(8));    // never fits: blocks the head
-  wm.enqueue_unit("small", unit_desc(1));
+  enqueue(wm, "big", unit_desc(8));  // never fits: blocks the head
+  enqueue(wm, "small", unit_desc(1));
   EXPECT_TRUE(wm.schedule_pass(0.0, nullptr).empty());
   EXPECT_FALSE(wm.dirty());
-  EXPECT_TRUE(wm.remove_queued_unit("big"));
+  EXPECT_TRUE(wm.remove_queued_unit(key("big")));
   EXPECT_TRUE(wm.dirty());
   const auto out = wm.schedule_pass(1.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
@@ -287,9 +306,9 @@ TEST(WorkloadManager, SortedInsertionServesShortestFirst) {
   // never re-sorts — and still picks the shortest unit for the one slot.
   WorkloadManager wm(make_scheduler("shortest-first"));
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("long", unit_desc(1, 100.0));
-  wm.enqueue_unit("short", unit_desc(1, 1.0));
-  wm.enqueue_unit("mid", unit_desc(1, 10.0));
+  enqueue(wm, "long", unit_desc(1, 100.0));
+  enqueue(wm, "short", unit_desc(1, 1.0));
+  enqueue(wm, "mid", unit_desc(1, 10.0));
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "short");
@@ -298,8 +317,8 @@ TEST(WorkloadManager, SortedInsertionServesShortestFirst) {
 TEST(WorkloadManager, SortedInsertionServesLargestFirst) {
   WorkloadManager wm(make_scheduler("largest-first"));
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
-  wm.enqueue_unit("small", unit_desc(1));
-  wm.enqueue_unit("big", unit_desc(4));
+  enqueue(wm, "small", unit_desc(1));
+  enqueue(wm, "big", unit_desc(4));
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "big");
@@ -312,19 +331,19 @@ TEST(WorkloadManager, RequeueFrontOrderingSurvivesSubmitBurst) {
   // first (FCFS position = recovery priority).
   WorkloadManager wm(make_scheduler("fifo"));
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("victim", unit_desc(1));
+  enqueue(wm, "victim", unit_desc(1));
   ASSERT_EQ(wm.schedule_pass(0.0, nullptr).size(), 1u);  // victim bound
-  wm.enqueue_unit("burst1", unit_desc(1));               // racing burst
+  enqueue(wm, "burst1", unit_desc(1));                   // racing burst
   const auto orphans = wm.remove_pilot("p1");            // pilot fails
   ASSERT_EQ(orphans.size(), 1u);
-  EXPECT_EQ(orphans[0], "victim");
-  EXPECT_TRUE(wm.requeue_unit_front("victim", unit_desc(1)));
-  wm.enqueue_unit("burst2", unit_desc(1));               // burst continues
+  EXPECT_EQ(orphans[0], key("victim"));
+  EXPECT_TRUE(requeue_front(wm, "victim", unit_desc(1)));
+  enqueue(wm, "burst2", unit_desc(1));  // burst continues
   wm.add_pilot("p2", "a", 1, 0, 0.0, 1e9);
   const auto first = wm.schedule_pass(1.0, nullptr);
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].unit_id, "victim");  // ahead of the whole burst
-  wm.unit_finished("victim");
+  wm.unit_finished(key("victim"));
   const auto second = wm.schedule_pass(2.0, nullptr);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].unit_id, "burst1");  // burst keeps its own order
@@ -336,13 +355,13 @@ TEST(WorkloadManager, RequeueFrontBeforeEqualsUnderSortedPolicy) {
   // unit still goes first.
   WorkloadManager wm(make_scheduler("shortest-first"));
   wm.add_pilot("p1", "a", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("five-a", unit_desc(1, 5.0));
-  wm.enqueue_unit("one", unit_desc(1, 1.0));
-  EXPECT_TRUE(wm.requeue_unit_front("five-b", unit_desc(1, 5.0)));
+  enqueue(wm, "five-a", unit_desc(1, 5.0));
+  enqueue(wm, "one", unit_desc(1, 1.0));
+  EXPECT_TRUE(requeue_front(wm, "five-b", unit_desc(1, 5.0)));
   auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "one");  // shorter still dominates
-  wm.unit_finished("one");
+  wm.unit_finished(key("one"));
   out = wm.schedule_pass(1.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "five-b");  // requeued wins among equals
@@ -375,7 +394,7 @@ ComputeUnitDescription tenant_unit(const std::string& tenant, int cores = 1) {
 }
 
 std::map<std::string, int> grants_by_tenant(
-    const std::vector<Assignment>& out) {
+    const std::vector<WorkloadManager::Binding>& out) {
   std::map<std::string, int> grants;
   for (const auto& a : out) {
     // Unit ids in these tests are "<tenant>-<n>".
@@ -392,10 +411,10 @@ TEST(WorkloadManagerFairShare, EqualWeightsSplitScarceCapacityEvenly) {
   wm.add_pilot("p1", "a", 4, 0, 0.0, 1e9);
   // Tenant "a" floods first; FCFS alone would hand it all four cores.
   for (int i = 0; i < 4; ++i) {
-    wm.enqueue_unit("a-" + std::to_string(i), tenant_unit("a"));
+    enqueue(wm, "a-" + std::to_string(i), tenant_unit("a"));
   }
   for (int i = 0; i < 4; ++i) {
-    wm.enqueue_unit("b-" + std::to_string(i), tenant_unit("b"));
+    enqueue(wm, "b-" + std::to_string(i), tenant_unit("b"));
   }
   const auto grants = grants_by_tenant(wm.schedule_pass(0.0, nullptr));
   EXPECT_EQ(grants.at("a"), 2);
@@ -411,8 +430,8 @@ TEST(WorkloadManagerFairShare, GrantsFollowWeights) {
   wm.set_fair_share(true);
   wm.add_pilot("p1", "s", 4, 0, 0.0, 1e9);
   for (int i = 0; i < 4; ++i) {
-    wm.enqueue_unit("a-" + std::to_string(i), tenant_unit("a"));
-    wm.enqueue_unit("b-" + std::to_string(i), tenant_unit("b"));
+    enqueue(wm, "a-" + std::to_string(i), tenant_unit("a"));
+    enqueue(wm, "b-" + std::to_string(i), tenant_unit("b"));
   }
   const auto grants = grants_by_tenant(wm.schedule_pass(0.0, nullptr));
   EXPECT_EQ(grants.at("a"), 3);
@@ -428,17 +447,17 @@ TEST(WorkloadManagerFairShare, DeficitCarriesAcrossPasses) {
   wm.set_fair_share(true);
   wm.add_pilot("p1", "s", 1, 0, 0.0, 1e9);
   for (int i = 0; i < 2; ++i) {
-    wm.enqueue_unit("a-" + std::to_string(i), tenant_unit("a"));
-    wm.enqueue_unit("b-" + std::to_string(i), tenant_unit("b"));
+    enqueue(wm, "a-" + std::to_string(i), tenant_unit("a"));
+    enqueue(wm, "b-" + std::to_string(i), tenant_unit("b"));
   }
   auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "a-0");  // tie broken to the first tenant
-  wm.unit_finished("a-0");
+  wm.unit_finished(key("a-0"));
   out = wm.schedule_pass(1.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "b-0");  // b's carried credit now dominates
-  wm.unit_finished("b-0");
+  wm.unit_finished(key("b-0"));
   out = wm.schedule_pass(2.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "a-1");
@@ -456,8 +475,8 @@ TEST(WorkloadManagerFairShare, SingleTenantKeepsPolicyOrderFastPath) {
   slow.duration = 100.0;
   ComputeUnitDescription fast = tenant_unit("a");
   fast.duration = 1.0;
-  wm.enqueue_unit("a-slow", slow);
-  wm.enqueue_unit("a-fast", fast);
+  enqueue(wm, "a-slow", slow);
+  enqueue(wm, "a-fast", fast);
   const auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "a-fast");
@@ -469,9 +488,9 @@ TEST(WorkloadManagerFairShare, InertWithoutAdmissionInterface) {
   WorkloadManager wm(make_scheduler("fifo"));
   wm.set_fair_share(true);
   wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9);
-  wm.enqueue_unit("a-0", tenant_unit("a"));
-  wm.enqueue_unit("a-1", tenant_unit("a"));
-  wm.enqueue_unit("b-0", tenant_unit("b"));
+  enqueue(wm, "a-0", tenant_unit("a"));
+  enqueue(wm, "a-1", tenant_unit("a"));
+  enqueue(wm, "b-0", tenant_unit("b"));
   const auto grants = grants_by_tenant(wm.schedule_pass(0.0, nullptr));
   EXPECT_EQ(grants.at("a"), 2);
   EXPECT_EQ(grants.count("b"), 0u);
@@ -486,12 +505,12 @@ TEST(WorkloadManagerFairShare, ZeroWeightTenantStillDrains) {
   wm.set_admission(&adm);
   wm.set_fair_share(true);
   wm.add_pilot("p1", "s", 1, 0, 0.0, 1e9);
-  wm.enqueue_unit("a-0", tenant_unit("a"));
-  wm.enqueue_unit("z-0", tenant_unit("z"));
+  enqueue(wm, "a-0", tenant_unit("a"));
+  enqueue(wm, "z-0", tenant_unit("z"));
   auto out = wm.schedule_pass(0.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "a-0");
-  wm.unit_finished("a-0");
+  wm.unit_finished(key("a-0"));
   out = wm.schedule_pass(1.0, nullptr);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].unit_id, "z-0");
@@ -504,49 +523,48 @@ TEST(WorkloadManagerFairShare, ZeroWeightTenantStillDrains) {
 TEST(WorkloadManager, TakeQueuedCarriesRequeueBudget) {
   WorkloadManager source(make_scheduler("fifo"));
   source.set_max_requeues(3);
-  source.requeue_unit_front("u1", unit_desc(2));  // one consumed requeue
-  source.enqueue_unit("u2", unit_desc(1));
+  requeue_front(source, "u1", unit_desc(2));  // one consumed requeue
+  enqueue(source, "u2", unit_desc(1));
   const auto taken = source.take_queued_units(4);
   ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].unit_id, "u1");  // queue order
+  EXPECT_EQ(taken[0].key, key("u1"));  // queue order
   EXPECT_EQ(taken[0].requeues, 1);
   EXPECT_EQ(taken[1].requeues, 0);
   EXPECT_EQ(source.queued_units(), 0u);
-  EXPECT_EQ(source.requeue_count("u1"), 0);  // the budget left with it
+  EXPECT_EQ(source.requeue_count(key("u1")), 0);  // the budget left with it
 
   WorkloadManager target(make_scheduler("fifo"));
   target.set_max_requeues(3);
-  for (const auto& t : taken) {
-    target.enqueue_unit(t.unit_id, unit_desc(1), t.requeues);
-  }
+  target.enqueue_unit(taken[0].key, "u1", unit_desc(1), taken[0].requeues);
+  target.enqueue_unit(taken[1].key, "u2", unit_desc(1), taken[1].requeues);
   EXPECT_EQ(target.queued_unit_ids(),
             (std::vector<std::string>{"u1", "u2"}));
   // The consumed requeue budget survived the hand-over: two more, not
   // three.
-  ASSERT_TRUE(target.remove_queued_unit("u2"));
+  ASSERT_TRUE(target.remove_queued_unit(key("u2")));
   target.add_pilot("p1", "s", 4, 0, 0.0, 1e9);
   ASSERT_EQ(target.schedule_pass(0.0, nullptr).size(), 1u);
   target.remove_pilot("p1");
-  EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
-  EXPECT_TRUE(target.requeue_unit_front("u1", unit_desc(2)));
-  EXPECT_FALSE(target.requeue_unit_front("u1", unit_desc(2)));
+  EXPECT_TRUE(requeue_front(target, "u1", unit_desc(2)));
+  EXPECT_TRUE(requeue_front(target, "u1", unit_desc(2)));
+  EXPECT_FALSE(requeue_front(target, "u1", unit_desc(2)));
 }
 
 TEST(WorkloadManager, TakeQueuedTakesOnlyWhatFitsTheFreeCores) {
   WorkloadManager wm(make_scheduler("fifo"));
-  wm.enqueue_unit("big", unit_desc(8));
-  wm.enqueue_unit("a", unit_desc(2));
-  wm.enqueue_unit("b", unit_desc(3));
-  wm.enqueue_unit("c", unit_desc(1));
-  wm.enqueue_unit("d", unit_desc(1));
+  enqueue(wm, "big", unit_desc(8));
+  enqueue(wm, "a", unit_desc(2));
+  enqueue(wm, "b", unit_desc(3));
+  enqueue(wm, "c", unit_desc(1));
+  enqueue(wm, "d", unit_desc(1));
   // 4 free cores: "big" never fits and keeps its place; "a" (2) and "c"
   // (1) and "d" (1) fill the budget, "b" (3) would overflow it.
   const auto taken = wm.take_queued_units(4);
-  std::vector<std::string> ids;
+  std::vector<UnitKey> keys;
   for (const auto& t : taken) {
-    ids.push_back(t.unit_id);
+    keys.push_back(t.key);
   }
-  EXPECT_EQ(ids, (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_EQ(keys, (std::vector<UnitKey>{key("a"), key("c"), key("d")}));
   EXPECT_EQ(wm.queued_unit_ids(), (std::vector<std::string>{"big", "b"}));
   EXPECT_TRUE(wm.take_queued_units(0).empty());
   // The survivors still schedule normally.
@@ -585,7 +603,8 @@ class ViewRecorder : public Scheduler {
   std::vector<std::string>* seen_;
 };
 
-std::vector<std::string> ids_of(const std::vector<Assignment>& out) {
+std::vector<std::string> ids_of(
+    const std::vector<WorkloadManager::Binding>& out) {
   std::vector<std::string> ids;
   for (const auto& a : out) {
     ids.push_back(a.unit_id);
@@ -600,17 +619,17 @@ TEST(WorkloadManagerCompaction, BackfillSkipsHeadThenBindsLaterUnits) {
   WorkloadManager wm(
       std::make_unique<ViewRecorder>(make_scheduler("backfill"), &seen));
   wm.add_pilot("p1", "a", 3, 0, 0.0, 1e9);
-  wm.enqueue_unit("A", unit_desc(2));
-  wm.enqueue_unit("B", unit_desc(4));  // never fits a 3-core pilot
-  wm.enqueue_unit("C", unit_desc(2));
-  wm.enqueue_unit("D", unit_desc(1));
-  wm.enqueue_unit("E", unit_desc(1));
-  wm.enqueue_unit("F", unit_desc(1));
+  enqueue(wm, "A", unit_desc(2));
+  enqueue(wm, "B", unit_desc(4));  // never fits a 3-core pilot
+  enqueue(wm, "C", unit_desc(2));
+  enqueue(wm, "D", unit_desc(1));
+  enqueue(wm, "E", unit_desc(1));
+  enqueue(wm, "F", unit_desc(1));
   // A fits, B never does, C does not fit the one core left, D takes it.
   EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"A", "D"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"B", "C", "E", "F"}));
-  wm.unit_finished("A");
-  wm.unit_finished("D");
+  wm.unit_finished(key("A"));
+  wm.unit_finished(key("D"));
   EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"C", "E"}));
   EXPECT_EQ(seen, (Ids{"B", "C", "E", "F"}));  // views stayed parallel
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"B", "F"}));
@@ -621,20 +640,20 @@ TEST(WorkloadManagerCompaction, ShortestFirstWithRequeueFront) {
   WorkloadManager wm(std::make_unique<ViewRecorder>(
       make_scheduler("shortest-first"), &seen));
   wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
-  wm.enqueue_unit("b", unit_desc(1, 1.0));
-  wm.enqueue_unit("e", unit_desc(2, 1.0));
-  wm.enqueue_unit("a", unit_desc(1, 5.0));
-  wm.enqueue_unit("c", unit_desc(1, 5.0));
-  wm.enqueue_unit("d", unit_desc(1, 10.0));
-  ASSERT_TRUE(wm.requeue_unit_front("f", unit_desc(1, 5.0)));
+  enqueue(wm, "b", unit_desc(1, 1.0));
+  enqueue(wm, "e", unit_desc(2, 1.0));
+  enqueue(wm, "a", unit_desc(1, 5.0));
+  enqueue(wm, "c", unit_desc(1, 5.0));
+  enqueue(wm, "d", unit_desc(1, 10.0));
+  ASSERT_TRUE(requeue_front(wm, "f", unit_desc(1, 5.0)));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"b", "e", "f", "a", "c", "d"}));
   // b takes one core, e needs two, f takes the last one.
   EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"b", "f"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"e", "a", "c", "d"}));
-  ASSERT_TRUE(wm.requeue_unit_front("g", unit_desc(1, 5.0)));
+  ASSERT_TRUE(requeue_front(wm, "g", unit_desc(1, 5.0)));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"e", "g", "a", "c", "d"}));
-  wm.unit_finished("b");
-  wm.unit_finished("f");
+  wm.unit_finished(key("b"));
+  wm.unit_finished(key("f"));
   EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"e"}));
   EXPECT_EQ(seen, (Ids{"e", "g", "a", "c", "d"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"g", "a", "c", "d"}));
@@ -645,19 +664,19 @@ TEST(WorkloadManagerCompaction, LargestFirstWithRequeueFront) {
   WorkloadManager wm(std::make_unique<ViewRecorder>(
       make_scheduler("largest-first"), &seen));
   wm.add_pilot("p1", "a", 3, 0, 0.0, 1e9);
-  wm.enqueue_unit("s1a", unit_desc(1));
-  wm.enqueue_unit("m2a", unit_desc(2));
-  wm.enqueue_unit("big", unit_desc(4));  // never fits a 3-core pilot
-  wm.enqueue_unit("m2b", unit_desc(2));
-  wm.enqueue_unit("s1b", unit_desc(1));
-  ASSERT_TRUE(wm.requeue_unit_front("m2r", unit_desc(2)));
+  enqueue(wm, "s1a", unit_desc(1));
+  enqueue(wm, "m2a", unit_desc(2));
+  enqueue(wm, "big", unit_desc(4));  // never fits a 3-core pilot
+  enqueue(wm, "m2b", unit_desc(2));
+  enqueue(wm, "s1b", unit_desc(1));
+  ASSERT_TRUE(requeue_front(wm, "m2r", unit_desc(2)));
   EXPECT_EQ(wm.queued_unit_ids(),
             (Ids{"big", "m2r", "m2a", "m2b", "s1a", "s1b"}));
   // m2r takes two cores, the other 2-core units do not fit, s1a does.
   EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"m2r", "s1a"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"big", "m2a", "m2b", "s1b"}));
-  wm.unit_finished("m2r");
-  wm.unit_finished("s1a");
+  wm.unit_finished(key("m2r"));
+  wm.unit_finished(key("s1a"));
   EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"m2a", "s1b"}));
   EXPECT_EQ(seen, (Ids{"big", "m2a", "m2b", "s1b"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"big", "m2b"}));
@@ -670,16 +689,16 @@ TEST(WorkloadManagerCompaction, FairShareTakesThatAreNotAPrefix) {
   wm.set_fair_share(true);
   wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9);
   for (int i = 0; i < 3; ++i) {
-    wm.enqueue_unit("a-" + std::to_string(i), tenant_unit("a"));
+    enqueue(wm, "a-" + std::to_string(i), tenant_unit("a"));
   }
   for (int i = 0; i < 3; ++i) {
-    wm.enqueue_unit("b-" + std::to_string(i), tenant_unit("b"));
+    enqueue(wm, "b-" + std::to_string(i), tenant_unit("b"));
   }
   // The interleave presents a-0, b-0, ...: queue positions 0 and 3.
   EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"a-0", "b-0"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"a-1", "a-2", "b-1", "b-2"}));
-  wm.unit_finished("a-0");
-  wm.unit_finished("b-0");
+  wm.unit_finished(key("a-0"));
+  wm.unit_finished(key("b-0"));
   EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"a-1", "b-1"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"a-2", "b-2"}));
 }
@@ -689,16 +708,16 @@ TEST(WorkloadManagerCompaction, RemoveQueuedUnitBetweenPasses) {
   WorkloadManager wm(
       std::make_unique<ViewRecorder>(make_scheduler("backfill"), &seen));
   wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
-  wm.enqueue_unit("X", unit_desc(4));  // never fits a 2-core pilot
+  enqueue(wm, "X", unit_desc(4));  // never fits a 2-core pilot
   for (int i = 0; i < 5; ++i) {
-    wm.enqueue_unit("u" + std::to_string(i), unit_desc(1));
+    enqueue(wm, "u" + std::to_string(i), unit_desc(1));
   }
   EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"u0", "u1"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"X", "u2", "u3", "u4"}));
-  EXPECT_TRUE(wm.remove_queued_unit("u3"));
-  wm.unit_finished("u0");
-  wm.unit_finished("u1");
-  wm.enqueue_unit("u5", unit_desc(1));
+  EXPECT_TRUE(wm.remove_queued_unit(key("u3")));
+  wm.unit_finished(key("u0"));
+  wm.unit_finished(key("u1"));
+  enqueue(wm, "u5", unit_desc(1));
   EXPECT_EQ(ids_of(wm.schedule_pass(1.0, nullptr)), (Ids{"u2", "u4"}));
   EXPECT_EQ(seen, (Ids{"X", "u2", "u4", "u5"}));
   EXPECT_EQ(wm.queued_unit_ids(), (Ids{"X", "u5"}));
@@ -713,7 +732,8 @@ double seconds_per_passes(std::size_t depth, int passes) {
   wm.add_pilot("p1", "a", 2, 0, 0.0, 1e9);
   std::size_t next = 0;
   while (next < depth) {
-    wm.enqueue_unit("u" + std::to_string(next++), unit_desc(1));
+    const std::string id = "u" + std::to_string(next++);
+    enqueue(wm, id, unit_desc(1));
   }
   double best = std::numeric_limits<double>::infinity();
   for (int trial = 0; trial < 5; ++trial) {
@@ -724,8 +744,9 @@ double seconds_per_passes(std::size_t depth, int passes) {
       elapsed += std::chrono::steady_clock::now() - start;
       EXPECT_EQ(out.size(), 2u);
       for (const auto& a : out) {
-        wm.unit_finished(a.unit_id);
-        wm.enqueue_unit("u" + std::to_string(next++), unit_desc(1));
+        wm.unit_finished(key(a.unit_id));
+        const std::string id = "u" + std::to_string(next++);
+        enqueue(wm, id, unit_desc(1));
       }
     }
     best = std::min(best, std::chrono::duration<double>(elapsed).count());
