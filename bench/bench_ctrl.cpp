@@ -59,7 +59,9 @@ class SyntheticRuntime : public core::Runtime {
       pilots_[pilot_id] = callbacks;
     }
     // Like LocalRuntime: activation fires synchronously, lock released.
-    callbacks.on_active(pilot_id, description.nodes, "synth");
+    callbacks.on_active(
+        pilot_id, core::PilotCapacity{description.nodes, description.nodes},
+        "synth");
   }
 
   void cancel_pilot(const std::string& pilot_id) override {

@@ -41,6 +41,7 @@ enum class LockRank : int {
   kStoreTransfer = 19,
   kRuntime = 20,
   kNetPeer = 21,
+  kRuntimePilot = 22,
   kStreamCoordinator = 25,
   kBrokerTopics = 30,
   kBrokerPartition = 32,

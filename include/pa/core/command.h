@@ -72,10 +72,12 @@ struct CmdSubmitUnits {
   std::vector<SubmittedUnit> units;
 };
 
-/// Runtime callback: the pilot's allocation came up.
+/// Runtime callback: the pilot's allocation came up with `total_cores`
+/// cores, taking units up to `capacity` cores at once (see PilotCapacity).
 struct CmdPilotActive {
   std::string pilot_id;
   int total_cores = 0;
+  int capacity = 0;
   std::string site;
 };
 
@@ -154,10 +156,13 @@ struct CmdAttachAdmission {
 
 /// Hand-over request: an idle shard (empty queue, free cores on an ACTIVE
 /// pilot) asks a peer with queued units for work. The peer answers with a
-/// CmdAdoptUnits, empty when nothing it holds fits `free_cores`.
+/// CmdAdoptUnits, empty when nothing it holds fits the thief's pilot:
+/// `free_cores` free, its walltime ending at `walltime_end` (runtime
+/// clock).
 struct CmdRequestUnits {
   int thief_shard = 0;
   int free_cores = 0;
+  double walltime_end = 0.0;
 };
 
 /// One queued unit handed between shards. Only PENDING, unbound units

@@ -27,10 +27,22 @@ struct UnitLaunch {
   std::function<void(bool success)> on_done;
 };
 
+/// What an ACTIVE pilot offers the service. `cores` is what a unit may
+/// use at once: the scheduler never binds a unit bigger than that.
+/// `capacity` (>= cores) is how many cores' worth of units the pilot takes
+/// at once; the units beyond its cores wait *ready* on the pilot, which
+/// starts each on its own as cores free, so the manager round trip is off
+/// the unit's critical path. A runtime without such a queue reports
+/// capacity = cores.
+struct PilotCapacity {
+  int cores = 0;
+  int capacity = 0;
+};
+
 /// Callbacks the middleware registers when launching a pilot.
 struct PilotRuntimeCallbacks {
   /// The placeholder job got its allocation; the agent is up.
-  std::function<void(const std::string& pilot_id, int total_cores,
+  std::function<void(const std::string& pilot_id, PilotCapacity capacity,
                      const std::string& site)>
       on_active;
   /// The allocation ended (walltime/cancel/failure). `state` is the final
@@ -56,8 +68,8 @@ class Runtime {
   virtual void cancel_pilot(const std::string& pilot_id) = 0;
 
   /// Runs a unit's payload on a pilot that the middleware has already
-  /// reserved cores on. `on_done(success)` must eventually fire unless the
-  /// pilot terminates first (in which case the middleware requeues).
+  /// reserved capacity on. `on_done(success)` must eventually fire unless
+  /// the pilot terminates first (in which case the middleware requeues).
   virtual void execute_unit(const std::string& pilot_id,
                             const ComputeUnitDescription& description,
                             const std::string& unit_id,

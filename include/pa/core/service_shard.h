@@ -13,9 +13,9 @@
 /// changes shard only while it is PENDING and unbound: an idle shard (no
 /// queued units, free cores on an ACTIVE pilot) takes queued units from
 /// a peer in one `cmd::CmdAdoptUnits` *hand-over*. Every shard publishes
-/// two relaxed atomics at batch end — its queued-unit count and the
-/// largest free-core count on any one of its pilots — and the hand-over
-/// runs when
+/// relaxed atomics at batch end — its queued-unit count, and the biggest
+/// unit any one of its pilots can bind now with that pilot's walltime end
+/// (`WorkloadManager::Offer`) — and the hand-over runs when
 ///   1. a shard still has queued units after its schedule pass and a
 ///      peer advertises free cores with an empty queue (the victim
 ///      pushes: SimRuntime has no timer tick, so the idle peer may never
@@ -23,6 +23,9 @@
 ///   2. an idle shard asks a peer with queued units with a
 ///      `cmd::CmdRequestUnits` (capacity appeared after the units
 ///      queued, e.g. a pilot went ACTIVE).
+/// Only units that fit the offered pilot move, by the strategies' own fit
+/// predicate (cores and remaining walltime), so a unit that fits no pilot
+/// stays PENDING where it is instead of bouncing between shards.
 /// Each shard has at most one incoming hand-over (or request) in flight,
 /// so the `ControlPlane::post_forward` traffic — which bypasses
 /// backpressure, because a peer apply thread must never block on another
@@ -204,9 +207,9 @@ class ServiceShard {
   void execute_unit_apply(UnitRecord& unit);
   void finalize_unit_apply(UnitRecord& unit, UnitState final_state);
 
-  /// Hand-over, victim side: removes queued units that fit one pilot
-  /// with `free_cores` free and counts them in transit.
-  cmd::CmdAdoptUnits take_for_hand_over(int free_cores);
+  /// Hand-over, victim side: removes queued units that fit the thief's
+  /// offered pilot and counts them in transit.
+  cmd::CmdAdoptUnits take_for_hand_over(const WorkloadManager::Offer& offer);
   /// Posts `adopt` to `thief` (whose hand-over slot the caller holds),
   /// then repins its units to the thief.
   void post_adopt(ServiceShard& thief, cmd::CmdAdoptUnits adopt);
@@ -285,10 +288,10 @@ class ServiceShard {
   /// Units adopted this batch; released from the facade's in-transit
   /// counter only *after* the publish that makes them visible here.
   std::int64_t pending_transit_release_ = 0;
-  /// Free-core count of this shard's last request a peer answered with
-  /// nothing: it asks again only once more cores are free (0 = no such
-  /// request outstanding).
-  int declined_free_cores_ = 0;
+  /// Offer of this shard's last request a peer answered with nothing: it
+  /// asks again only once more cores are free or a pilot with a later
+  /// walltime end offers them ({0, 0.0} = no such request outstanding).
+  WorkloadManager::Offer declined_;
   /// Local shutdown idempotence: the shared flag alone would make every
   /// shard after the first return an empty cancel list.
   bool local_shut_down_ = false;
@@ -303,6 +306,8 @@ class ServiceShard {
   // by peers (relaxed: a stale figure costs one empty hand-over) ----
   std::atomic<std::size_t> advert_queued_{0};
   std::atomic<int> advert_free_cores_{0};
+  /// Walltime end (runtime clock) of the pilot advert_free_cores_ is on.
+  std::atomic<double> advert_walltime_end_{0.0};
   /// Set while a hand-over to this shard (or its request for one) is in
   /// flight; whoever sets it owes exactly one CmdAdoptUnits here.
   std::atomic<bool> adopt_pending_{false};

@@ -7,6 +7,15 @@
 /// test can drive it by hand. Capacity accounting lives here so the
 /// "never oversubscribe" invariant has a single owner.
 ///
+/// Capacity. A pilot has `total_cores` cores and takes units up to
+/// `capacity` cores at once (PilotCapacity: a local or remote pilot holds
+/// the units beyond its cores ready and starts them itself). The strategy
+/// fits a unit by the real cores and binds up to capacity. A pass runs in
+/// two tiers: the first offers each pilot only its idle cores, the second
+/// the rest of its free capacity, so a unit takes an idle core on any
+/// pilot before it waits in a ready slot. A tier with nothing to offer is
+/// skipped: with capacity = cores everywhere a pass is one strategy call.
+///
 /// Scheduling is *incremental*: the manager keeps persistent scheduler
 /// views (pilot views refreshed in O(pilots) per pass, unit views built
 /// once at enqueue and kept in the policy's order by sorted insertion)
@@ -25,6 +34,7 @@
 /// single-threaded.
 
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,11 +53,12 @@ class WorkloadManager {
  public:
   explicit WorkloadManager(std::unique_ptr<Scheduler> scheduler);
 
-  /// Registers an ACTIVE pilot with its capacity.
+  /// Registers an ACTIVE pilot with `total_cores` cores that takes units
+  /// up to `capacity` cores at once (raised to total_cores if below).
   /// `walltime_end` is absolute (runtime clock).
   void add_pilot(const std::string& pilot_id, const std::string& site,
                  int total_cores, int priority, double cost_per_core_hour,
-                 double walltime_end);
+                 double walltime_end, int capacity = 0);
 
   /// Removes a pilot (terminated). Returns the units that were bound to it
   /// and must be requeued or failed by the caller, in key order.
@@ -76,10 +87,13 @@ class WorkloadManager {
   static constexpr std::size_t kHandOverScan = 256;
 
   /// Removes queued units for hand-over: front first (the oldest waits),
-  /// each small enough for one pilot with `free_cores` free, until their
-  /// cores sum to at most `free_cores`. Units that do not fit keep their
-  /// place. Only the first kHandOverScan entries are inspected.
-  std::vector<TakenUnit> take_queued_units(int free_cores);
+  /// each fitting one pilot with `free_cores` free and
+  /// `remaining_walltime` left (the strategies' own fit predicate), until
+  /// their cores sum to at most `free_cores`. Units that do not fit keep
+  /// their place. Only the first kHandOverScan entries are inspected.
+  std::vector<TakenUnit> take_queued_units(
+      int free_cores,
+      double remaining_walltime = std::numeric_limits<double>::infinity());
 
   /// Units may requeue this often before the manager refuses; see
   /// set_max_requeues. High enough that legitimate fault-tolerance churn
@@ -109,10 +123,19 @@ class WorkloadManager {
   /// Queued unit ids in the order the strategy sees them (O(queued);
   /// for tests and diagnostics).
   std::vector<std::string> queued_unit_ids() const;
+  /// Free capacity of one pilot (idle cores plus free ready slots).
   int free_cores(const std::string& pilot_id) const;
   int total_free_cores() const;
-  /// Largest free-core count on any one pilot (0 without pilots).
-  int max_free_cores() const;
+
+  /// The biggest unit one pilot can bind now: `cores` is its free
+  /// capacity capped at its real cores, `walltime_end` when that pilot's
+  /// walltime ends (absolute). The pilot with the most such cores wins,
+  /// ties going to the later walltime end; {0, 0.0} without pilots.
+  struct Offer {
+    int cores = 0;
+    double walltime_end = 0.0;
+  };
+  Offer hand_over_offer() const;
 
   /// True when something changed since the last executed pass, i.e. the
   /// next schedule_pass will actually run the strategy.
@@ -177,7 +200,8 @@ class WorkloadManager {
   struct PilotRecord {
     std::string site;
     int total_cores = 0;
-    int free_cores = 0;
+    int capacity = 0;
+    int free_cores = 0;  ///< free capacity
     int priority = 0;
     double cost_per_core_hour = 0.0;
     double walltime_end = 0.0;
@@ -217,13 +241,22 @@ class WorkloadManager {
   /// Removes the queue entries marked in `taken` (a prefix of the queue,
   /// indexed by position), keeping the survivors' order.
   void erase_taken(const std::vector<char>& taken);
+  /// Cores of `rec` that no bound unit holds: its cores less what is bound
+  /// beyond its ready slots, never below 0.
+  static int idle_cores(const PilotRecord& rec);
+  /// One tier of a pass: runs the strategy against the pilot views' free
+  /// cores and applies what it proposes, appending to `accepted`. `order`
+  /// is the fair-share interleave, or null for the policy's own order.
+  void bind_tier(const std::vector<std::size_t>* order,
+                 std::vector<Binding>* accepted);
 
   /// Weighted fair-share ordering (deficit round robin): credits every
-  /// tenant with queued units (weight x quantum), then interleaves the
-  /// queue across tenants by accumulated credit, filling `order` with
-  /// original queue positions. Returns false (order untouched, no credit
-  /// granted) when fewer than two tenants have queued units.
-  bool fair_share_order(std::vector<std::size_t>* order);
+  /// tenant with queued units (weight x quantum) when `credit` is set —
+  /// once per pass — then interleaves the queue across tenants by
+  /// accumulated credit, filling `order` with original queue positions.
+  /// Returns false (order untouched, no credit granted) when fewer than
+  /// two tenants have queued units.
+  bool fair_share_order(std::vector<std::size_t>* order, bool credit);
 
   /// The wm.* instruments; all null while no registry is attached.
   struct Instruments {
@@ -240,9 +273,10 @@ class WorkloadManager {
   std::map<std::string, PilotRecord> pilots_;
   /// Persistent scheduler input, in registration order (the stable view
   /// order policies rely on). site/total/priority/cost are immutable;
-  /// free_cores and remaining_walltime are refreshed each executed pass.
+  /// free_cores (each tier's offer) and remaining_walltime are refreshed
+  /// each executed pass.
   std::vector<PilotView> pilot_views_;
-  /// Free cores per site — lets the locality refresh skip sites that
+  /// Free capacity per site — lets the locality refresh skip sites that
   /// cannot accept work this pass.
   std::map<std::string, int> site_free_cores_;
   /// queue_ and queue_views_ are parallel: same units, same positions.

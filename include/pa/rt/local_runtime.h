@@ -9,6 +9,16 @@
 /// application engines — MapReduce, iterative K-means, dataflow — so those
 /// code paths compute real results (DESIGN.md).
 ///
+/// Ready units. A pilot reports `PilotCapacity{cores, 2 x cores}`: the
+/// service binds up to one unit per core beyond what runs. A launch whose
+/// cores are free (and that no earlier launch waits ahead of) starts at
+/// once; any other waits, in order, in the pilot's ready FIFO. A worker
+/// that finishes a unit frees its cores, takes the ready launches that
+/// now fit, fires its own completion and runs the first of them itself,
+/// so the next unit starts without a round trip through the service.
+/// A cancelled pilot starts no ready unit: they are dropped, and the
+/// service requeues them with the rest of the pilot's bound units.
+///
 /// Callbacks (pilot lifecycle, unit completion) fire on worker/caller
 /// threads, possibly concurrently. The runtime keeps the base-class
 /// `single_threaded() == false`, so `PilotComputeService` runs its
@@ -17,6 +27,7 @@
 /// (see core/control_plane.h).
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,11 +68,39 @@ class LocalRuntime : public core::Runtime {
                    double timeout_seconds) override;
 
  private:
-  struct PilotEntry {
-    std::unique_ptr<pa::ThreadPool> pool;
-    std::atomic<bool> stopping{false};
-    core::PilotRuntimeCallbacks callbacks;
+  /// What a worker needs of one unit; the description is not kept.
+  struct Launch {
+    std::function<void()> work;
+    double duration = 0.0;
+    int cores = 1;
+    std::string unit_id;
+    std::function<void(bool)> on_done;
   };
+
+  struct PilotEntry {
+    explicit PilotEntry(int cores) : total_cores(cores), free_cores(cores) {}
+    const int total_cores;
+    std::unique_ptr<pa::ThreadPool> pool;
+    core::PilotRuntimeCallbacks callbacks;
+    /// Set (under `mutex`) once the pilot is cancelled or the runtime
+    /// goes: no ready unit starts after it, and no completion fires.
+    std::atomic<bool> stopping{false};
+    /// LockRank::kRuntimePilot: held around the ready FIFO and the core
+    /// count only; never with the pilot-map lock, never across a payload,
+    /// a callback or a pool call.
+    check::Mutex mutex{check::LockRank::kRuntimePilot,
+                       "rt::LocalRuntime::pilot"};
+    int free_cores PA_GUARDED_BY(mutex);
+    std::deque<Launch> ready PA_GUARDED_BY(mutex);
+  };
+
+  /// Hands `launch` to a pool worker (it has reserved its cores).
+  static void start(const std::shared_ptr<PilotEntry>& entry, Launch launch);
+  /// Worker body: runs `launch`, then each ready launch its finish lets
+  /// start, while the pilot is not stopping.
+  static void run(const std::shared_ptr<PilotEntry>& entry, Launch launch);
+  /// Marks `entry` stopping and drops its ready launches.
+  static void stop(PilotEntry& entry);
 
   LocalRuntimeConfig config_;
   double epoch_;

@@ -79,12 +79,13 @@ class PayloadTable {
 struct AgentEndpointConfig {
   LocalRuntimeConfig local;
   /// Local unit-queue capacity = queue_factor × pilot cores. This is the
-  /// pilot's only dispatch depth: the agent announces it in kPilotActive,
-  /// the manager reports it to the service as the pilot's size, and the
-  /// service's slot accounting then never has more units in flight on the
-  /// pilot than the agent can queue and run. Short units need depth to
-  /// cover the wire round-trip, so the agent keeps several batches of
-  /// queued work per slot.
+  /// pilot's dispatch depth: the agent announces it in kPilotActive next
+  /// to its cores, the manager reports both to the service
+  /// (PilotCapacity), and the service's capacity accounting then never
+  /// has more units in flight on the pilot than the agent can queue and
+  /// run, while it fits each unit by the real cores. Short units need
+  /// depth to cover the wire round-trip, so the agent keeps several
+  /// batches of queued work per slot.
   int queue_factor = 16;
   /// Completion-outbox flusher (group-commit batching of completions
   /// into kUnitDoneBatch frames).

@@ -168,9 +168,10 @@ void ServiceShard::submit_pilot_apply(const std::string& pilot_id,
   // enforces this shape). They capture *this* shard's queue: pilots never
   // change shard.
   PilotRuntimeCallbacks callbacks;
-  callbacks.on_active = [this](const std::string& id, int cores,
+  callbacks.on_active = [this](const std::string& id, PilotCapacity cap,
                                const std::string& site) {
-    ctrl_->post(cmd::Command{cmd::CmdPilotActive{id, cores, site}});
+    ctrl_->post(cmd::Command{
+        cmd::CmdPilotActive{id, cap.cores, cap.capacity, site}});
   };
   callbacks.on_terminated = [this](const std::string& id, PilotState state) {
     ctrl_->post(cmd::Command{cmd::CmdPilotTerminated{id, state}});
@@ -219,9 +220,12 @@ void ServiceShard::apply(cmd::CmdPilotActive& c) {
   workload_.add_pilot(c.pilot_id, c.site, c.total_cores,
                       rec.description.priority,
                       rec.description.cost_per_core_hour,
-                      rec.active_time + rec.description.walltime);
+                      rec.active_time + rec.description.walltime,
+                      c.capacity);
+  declined_ = {};  // a new pilot: a peer may now have units that fit
   PA_LOG(kInfo, "pcs") << "pilot " << c.pilot_id << " active on " << c.site
-                       << " with " << c.total_cores << " cores";
+                       << " with " << c.total_cores << " cores, capacity "
+                       << c.capacity;
 }
 
 void ServiceShard::apply(cmd::CmdPilotTerminated& c) {
@@ -720,9 +724,11 @@ void ServiceShard::apply(cmd::CmdObserveUnits& c) {
 // Hand-over: PENDING units move to shards with idle cores.
 // ---------------------------------------------------------------------------
 
-cmd::CmdAdoptUnits ServiceShard::take_for_hand_over(int free_cores) {
+cmd::CmdAdoptUnits ServiceShard::take_for_hand_over(
+    const WorkloadManager::Offer& offer) {
   auto adopt = cmd::CmdAdoptUnits{};
-  for (const auto& taken : workload_.take_queued_units(free_cores)) {
+  for (const auto& taken : workload_.take_queued_units(
+           offer.cores, offer.walltime_end - runtime_.now())) {
     const auto it = units_.find(taken.key);
     PA_CHECK_MSG(it != units_.end(), "queued unit without record");
     UnitRecord& u = it->second;
@@ -777,15 +783,15 @@ void ServiceShard::post_adopt(ServiceShard& thief, cmd::CmdAdoptUnits adopt) {
 void ServiceShard::apply(cmd::CmdRequestUnits& c) {
   // Always answer: the adopt, empty or not, releases the thief's slot.
   ServiceShard& thief = *peers_[static_cast<std::size_t>(c.thief_shard)];
-  post_adopt(thief, take_for_hand_over(c.free_cores));
+  post_adopt(thief, take_for_hand_over({c.free_cores, c.walltime_end}));
 }
 
 void ServiceShard::apply(cmd::CmdAdoptUnits& c) {
   adopt_pending_.store(false, std::memory_order_release);
   if (c.units.empty()) {
-    return;  // the peer had nothing that fits; declined_free_cores_ holds
+    return;  // the peer had nothing that fits; declined_ holds
   }
-  declined_free_cores_ = 0;
+  declined_ = {};
   const double now = runtime_.now();
   for (auto& h : c.units) {
     // A unit returning to a shard it left resumes the record this
@@ -819,9 +825,10 @@ void ServiceShard::apply(cmd::CmdAdoptUnits& c) {
 
 void ServiceShard::balance_with_peers() {
   const std::size_t queued = workload_.queued_units();
-  const int free_cores = workload_.max_free_cores();
+  const WorkloadManager::Offer offer = workload_.hand_over_offer();
   advert_queued_.store(queued, std::memory_order_relaxed);
-  advert_free_cores_.store(free_cores, std::memory_order_relaxed);
+  advert_free_cores_.store(offer.cores, std::memory_order_relaxed);
+  advert_walltime_end_.store(offer.walltime_end, std::memory_order_relaxed);
   if (shut_down_.load(std::memory_order_relaxed)) {
     return;
   }
@@ -829,21 +836,22 @@ void ServiceShard::balance_with_peers() {
     // Case 1, push: the idle peer (empty queue) with the most free cores
     // on one pilot gets what fits there.
     ServiceShard* thief = nullptr;
-    int most_free = 0;
+    WorkloadManager::Offer most;
     for (ServiceShard* peer : peers_) {
       const int peer_free =
           peer->advert_free_cores_.load(std::memory_order_relaxed);
-      if (peer != this && peer_free > most_free &&
+      if (peer != this && peer_free > most.cores &&
           peer->advert_queued_.load(std::memory_order_relaxed) == 0) {
         thief = peer;
-        most_free = peer_free;
+        most = {peer_free,
+                peer->advert_walltime_end_.load(std::memory_order_relaxed)};
       }
     }
     if (thief == nullptr ||
         thief->adopt_pending_.exchange(true, std::memory_order_acq_rel)) {
       return;
     }
-    cmd::CmdAdoptUnits adopt = take_for_hand_over(most_free);
+    cmd::CmdAdoptUnits adopt = take_for_hand_over(most);
     if (adopt.units.empty()) {
       thief->adopt_pending_.store(false, std::memory_order_release);
       return;
@@ -852,8 +860,9 @@ void ServiceShard::balance_with_peers() {
     return;
   }
   // Case 2, request: this shard is idle; ask the peer with the longest
-  // queue, unless a peer already declined these free cores.
-  if (free_cores <= declined_free_cores_) {
+  // queue, unless a peer already declined this offer or a larger one.
+  if (offer.cores <= 0 || (offer.cores <= declined_.cores &&
+                           offer.walltime_end <= declined_.walltime_end)) {
     return;
   }
   ServiceShard* victim = nullptr;
@@ -870,9 +879,9 @@ void ServiceShard::balance_with_peers() {
       adopt_pending_.exchange(true, std::memory_order_acq_rel)) {
     return;
   }
-  declined_free_cores_ = free_cores;  // cleared when units arrive
-  victim->ctrl().post_forward(
-      cmd::Command{cmd::CmdRequestUnits{index_, free_cores}});
+  declined_ = offer;  // cleared when units arrive or a pilot does
+  victim->ctrl().post_forward(cmd::Command{
+      cmd::CmdRequestUnits{index_, offer.cores, offer.walltime_end}});
 }
 
 // ---------------------------------------------------------------------------

@@ -16,14 +16,16 @@ WorkloadManager::WorkloadManager(std::unique_ptr<Scheduler> scheduler)
 void WorkloadManager::add_pilot(const std::string& pilot_id,
                                 const std::string& site, int total_cores,
                                 int priority, double cost_per_core_hour,
-                                double walltime_end) {
+                                double walltime_end, int capacity) {
   PA_REQUIRE_ARG(total_cores > 0, "pilot without cores: " << pilot_id);
+  capacity = std::max(capacity, total_cores);
   PA_REQUIRE_ARG(pilots_.find(pilot_id) == pilots_.end(),
                  "pilot already registered: " << pilot_id);
   PilotRecord rec;
   rec.site = site;
   rec.total_cores = total_cores;
-  rec.free_cores = total_cores;
+  rec.capacity = capacity;
+  rec.free_cores = capacity;
   rec.priority = priority;
   rec.cost_per_core_hour = cost_per_core_hour;
   rec.walltime_end = walltime_end;
@@ -38,7 +40,7 @@ void WorkloadManager::add_pilot(const std::string& pilot_id,
   pv.cost_per_core_hour = cost_per_core_hour;
   pv.remaining_walltime = 0.0;  // refreshed each pass
   pilot_views_.push_back(std::move(pv));
-  site_free_cores_[site] += total_cores;
+  site_free_cores_[site] += capacity;
   dirty_ = true;  // new capacity: queued units may fit now
 }
 
@@ -145,12 +147,13 @@ void WorkloadManager::enqueue_unit(UnitKey key, const std::string& unit_id,
 }
 
 std::vector<WorkloadManager::TakenUnit> WorkloadManager::take_queued_units(
-    int free_cores) {
+    int free_cores, double remaining_walltime) {
   std::vector<TakenUnit> taken;
   const std::size_t scan = std::min(queue_.size(), kHandOverScan);
   std::vector<char> take(scan, 0);
   for (std::size_t i = 0; i < scan && free_cores > 0; ++i) {
-    if (queue_[i].cores <= free_cores) {
+    if (queue_[i].cores <= free_cores &&
+        queue_[i].expected_duration <= remaining_walltime) {
       free_cores -= queue_[i].cores;
       take[i] = 1;
       taken.push_back(TakenUnit{queue_[i].key, requeue_count(queue_[i].key)});
@@ -249,12 +252,20 @@ int WorkloadManager::total_free_cores() const {
   return total;
 }
 
-int WorkloadManager::max_free_cores() const {
-  int most = 0;
+WorkloadManager::Offer WorkloadManager::hand_over_offer() const {
+  Offer best;
   for (const auto& [id, rec] : pilots_) {
-    most = std::max(most, rec.free_cores);
+    const int cores = std::min(rec.free_cores, rec.total_cores);
+    if (cores > best.cores ||
+        (cores == best.cores && rec.walltime_end > best.walltime_end)) {
+      best = Offer{cores, rec.walltime_end};
+    }
   }
-  return most;
+  return best.cores > 0 ? best : Offer{};
+}
+
+int WorkloadManager::idle_cores(const PilotRecord& rec) {
+  return std::max(0, rec.total_cores - (rec.capacity - rec.free_cores));
 }
 
 void WorkloadManager::set_metrics(obs::MetricsRegistry* metrics) {
@@ -288,7 +299,8 @@ void WorkloadManager::refresh_locality(UnitView& view, const QueuedUnit& unit,
   }
 }
 
-bool WorkloadManager::fair_share_order(std::vector<std::size_t>* order) {
+bool WorkloadManager::fair_share_order(std::vector<std::size_t>* order,
+                                       bool credit_pass) {
   if (queued_per_tenant_.size() < 2) {
     return false;
   }
@@ -308,14 +320,16 @@ bool WorkloadManager::fair_share_order(std::vector<std::size_t>* order) {
   // to place) cannot hoard an unbounded burst allowance.
   std::map<std::string, double> credit;
   for (const auto& [tenant, positions] : groups) {
-    double w = admission_->tenant_weight(tenant);
-    if (!(w > 0.0)) {
-      w = 1e-3;
-    }
     double& deficit = drr_deficit_[tenant];
-    deficit += w * static_cast<double>(quantum);
-    const double cap = 64.0 * w * static_cast<double>(quantum);
-    deficit = std::min(deficit, cap);
+    if (credit_pass) {
+      double w = admission_->tenant_weight(tenant);
+      if (!(w > 0.0)) {
+        w = 1e-3;
+      }
+      deficit += w * static_cast<double>(quantum);
+      const double cap = 64.0 * w * static_cast<double>(quantum);
+      deficit = std::min(deficit, cap);
+    }
     credit[tenant] = deficit;
   }
   // Interleave greedily: always lay out the head unit of the tenant with
@@ -364,10 +378,16 @@ std::vector<WorkloadManager::Binding> WorkloadManager::schedule_pass(
   if (queue_.empty() || pilots_.empty()) {
     return {};
   }
+  // Tier 1 offers each pilot its idle cores; tier 2 whatever free
+  // capacity lies beyond them (the ready slots).
+  int idle_total = 0;
+  int ready_total = 0;
   for (auto& pv : pilot_views_) {
     const auto& rec = pilots_.at(pv.pilot_id);
-    pv.free_cores = rec.free_cores;
+    pv.free_cores = idle_cores(rec);
     pv.remaining_walltime = rec.walltime_end - now;
+    idle_total += pv.free_cores;
+    ready_total += rec.free_cores - pv.free_cores;
   }
   if (data != nullptr) {
     for (std::size_t i = 0; i < queue_.size(); ++i) {
@@ -377,23 +397,57 @@ std::vector<WorkloadManager::Binding> WorkloadManager::schedule_pass(
     }
   }
 
-  std::vector<Assignment> proposed;
+  // Fair share credits its tenants once per pass, whatever the tiers.
   std::vector<std::size_t> order;
-  bool interleaved = false;
-  if (fair_share_ && admission_ != nullptr && fair_share_order(&order)) {
+  bool interleaved = fair_share_ && admission_ != nullptr &&
+                     fair_share_order(&order, /*credit_pass=*/true);
+  std::vector<Binding> accepted;
+  if (idle_total > 0) {
+    bind_tier(interleaved ? &order : nullptr, &accepted);
+  }
+  if (ready_total > 0 && !queue_.empty()) {
+    for (auto& pv : pilot_views_) {
+      pv.free_cores = pilots_.at(pv.pilot_id).free_cores;
+    }
+    if (interleaved && !accepted.empty()) {
+      // Tier 1 changed the queue: lay it out again from the deficits it
+      // left, without a second credit.
+      interleaved = fair_share_order(&order, /*credit_pass=*/false);
+    }
+    bind_tier(interleaved ? &order : nullptr, &accepted);
+  }
+  if (fair_share_ && !drr_deficit_.empty()) {
+    // A tenant whose queue emptied starts fresh when it returns.
+    for (auto dit = drr_deficit_.begin(); dit != drr_deficit_.end();) {
+      dit = queued_per_tenant_.count(dit->first) != 0
+                ? std::next(dit)
+                : drr_deficit_.erase(dit);
+    }
+  }
+  if (metrics_.units_assigned != nullptr) {
+    metrics_.units_assigned->inc(accepted.size());
+    metrics_.queued_units->set(static_cast<double>(queue_.size()));
+    metrics_.free_cores->set(total_free_cores());
+  }
+  return accepted;
+}
+
+void WorkloadManager::bind_tier(const std::vector<std::size_t>* order,
+                                std::vector<Binding>* accepted) {
+  std::vector<Assignment> proposed;
+  if (order != nullptr) {
     // Fair-share pass: present the queue to the strategy in the deficit-
     // round-robin interleave, then map accepted positions back onto the
     // real queue (a mismatch falls back to the linear search below).
-    interleaved = true;
     std::deque<UnitView> views;
-    for (const std::size_t qi : order) {
+    for (const std::size_t qi : *order) {
       views.push_back(queue_views_[qi]);
     }
     proposed = scheduler_->schedule(views, pilot_views_);
     for (auto& a : proposed) {
-      a.queue_index = (a.queue_index < order.size() &&
-                       queue_[order[a.queue_index]].unit_id == a.unit_id)
-                          ? order[a.queue_index]
+      a.queue_index = (a.queue_index < order->size() &&
+                       queue_[(*order)[a.queue_index]].unit_id == a.unit_id)
+                          ? (*order)[a.queue_index]
                           : kNoQueueIndex;
     }
   } else {
@@ -406,8 +460,7 @@ std::vector<WorkloadManager::Binding> WorkloadManager::schedule_pass(
   // up to the deepest accepted position, so the apply step costs what the
   // strategy scanned, not the queue depth.
   std::vector<char> taken;
-  std::vector<Binding> accepted;
-  accepted.reserve(proposed.size());
+  accepted->reserve(accepted->size() + proposed.size());
   for (auto& a : proposed) {
     const auto pit = pilots_.find(a.pilot_id);
     PA_CHECK_MSG(pit != pilots_.end(),
@@ -433,32 +486,18 @@ std::vector<WorkloadManager::Binding> WorkloadManager::schedule_pass(
     pit->second.free_cores -= q.cores;
     site_free_cores_[pit->second.site] -= q.cores;
     bound_.emplace(q.key, BoundUnit{a.pilot_id, q.cores});
-    if (interleaved) {
+    if (order != nullptr) {
       // Actual service: only granted cores pay down the tenant's deficit
       // (laying a unit out in the interleave is not service).
       drr_deficit_[q.tenant] -= static_cast<double>(q.cores);
     }
     taken[qi] = 1;
-    accepted.push_back(
+    accepted->push_back(
         Binding{q.key, std::move(a.unit_id), std::move(a.pilot_id)});
   }
-  if (!accepted.empty()) {
+  if (!taken.empty()) {
     erase_taken(taken);
   }
-  if (fair_share_ && !drr_deficit_.empty()) {
-    // A tenant whose queue emptied starts fresh when it returns.
-    for (auto dit = drr_deficit_.begin(); dit != drr_deficit_.end();) {
-      dit = queued_per_tenant_.count(dit->first) != 0
-                ? std::next(dit)
-                : drr_deficit_.erase(dit);
-    }
-  }
-  if (metrics_.units_assigned != nullptr) {
-    metrics_.units_assigned->inc(accepted.size());
-    metrics_.queued_units->set(static_cast<double>(queue_.size()));
-    metrics_.free_cores->set(total_free_cores());
-  }
-  return accepted;
 }
 
 void WorkloadManager::unit_finished(UnitKey key) {
@@ -470,7 +509,7 @@ void WorkloadManager::unit_finished(UnitKey key) {
   if (pit != pilots_.end()) {
     pit->second.free_cores += it->second.cores;
     site_free_cores_[pit->second.site] += it->second.cores;
-    PA_CHECK_MSG(pit->second.free_cores <= pit->second.total_cores,
+    PA_CHECK_MSG(pit->second.free_cores <= pit->second.capacity,
                  "core accounting corrupt on pilot " << it->second.pilot_id);
     dirty_ = true;  // capacity grew: queued units may fit now
   }

@@ -22,7 +22,7 @@ LocalRuntime::~LocalRuntime() {
     graveyard.swap(graveyard_);
   }
   for (auto& [id, entry] : pilots) {
-    entry->stopping.store(true);
+    stop(*entry);
     entry->pool->shutdown_now();
   }
   for (auto& entry : graveyard) {
@@ -45,7 +45,7 @@ void LocalRuntime::start_pilot(const std::string& pilot_id,
   PA_REQUIRE_ARG(cores_per_node > 0, "cores_per_node must be positive");
   const int total_cores = description.nodes * cores_per_node;
 
-  auto entry = std::make_shared<PilotEntry>();
+  auto entry = std::make_shared<PilotEntry>(total_cores);
   entry->callbacks = std::move(callbacks);
   entry->pool =
       std::make_unique<pa::ThreadPool>(static_cast<std::size_t>(total_cores));
@@ -58,9 +58,12 @@ void LocalRuntime::start_pilot(const std::string& pilot_id,
   PA_LOG(kInfo, "local-rt") << "pilot " << pilot_id << " active with "
                             << total_cores << " threads";
   // Local allocations are immediate: report ACTIVE synchronously (the
-  // Runtime contract allows it).
+  // Runtime contract allows it). One ready unit per core is the smallest
+  // depth that takes the service round trip off each unit.
   if (entry->callbacks.on_active) {
-    entry->callbacks.on_active(pilot_id, total_cores, url.host);
+    entry->callbacks.on_active(
+        pilot_id, core::PilotCapacity{total_cores, 2 * total_cores},
+        url.host);
   }
 }
 
@@ -76,12 +79,22 @@ void LocalRuntime::cancel_pilot(const std::string& pilot_id) {
     pilots_.erase(it);
     graveyard_.push_back(entry);
   }
-  entry->stopping.store(true);
+  stop(*entry);
   if (entry->callbacks.on_terminated) {
     entry->callbacks.on_terminated(pilot_id, core::PilotState::kCanceled);
   }
   // The pool's in-flight payloads finish on their own; their completions
   // are suppressed by `stopping`. Threads are joined at destruction.
+}
+
+void LocalRuntime::stop(PilotEntry& entry) {
+  std::deque<Launch> dropped;
+  {
+    check::MutexLock lock(entry.mutex);
+    entry.stopping.store(true);
+    dropped.swap(entry.ready);
+  }
+  // `dropped` dies here, unlocked: its closures are the caller's.
 }
 
 void LocalRuntime::execute_unit(const std::string& pilot_id,
@@ -97,30 +110,86 @@ void LocalRuntime::execute_unit(const std::string& pilot_id,
     }
     entry = it->second;
   }
+  if (description.cores > entry->total_cores) {
+    // It could never start; the service fits units by cores and never
+    // sends one.
+    on_done(false);
+    return;
+  }
   // Copy what the worker needs; the description may not outlive the call.
-  auto work = description.work;
-  const double duration = description.duration;
-  entry->pool->enqueue([entry, work = std::move(work), duration, unit_id,
-                        done = std::move(on_done)]() {
+  Launch launch{description.work, description.duration, description.cores,
+                unit_id, std::move(on_done)};
+  {
+    check::MutexLock lock(entry->mutex);
+    if (entry->stopping.load()) {
+      return;  // cancelled: the service requeues the pilot's units
+    }
+    if (!entry->ready.empty() || launch.cores > entry->free_cores) {
+      entry->ready.push_back(std::move(launch));
+      return;
+    }
+    entry->free_cores -= launch.cores;
+  }
+  start(entry, std::move(launch));
+}
+
+void LocalRuntime::start(const std::shared_ptr<PilotEntry>& entry,
+                         Launch launch) {
+  try {
+    entry->pool->enqueue([entry, launch = std::move(launch)]() mutable {
+      run(entry, std::move(launch));
+    });
+  } catch (const InvalidStateError&) {
+    // The pool shut down with the runtime; its pilot is stopping.
+  }
+}
+
+void LocalRuntime::run(const std::shared_ptr<PilotEntry>& entry,
+                       Launch launch) {
+  for (;;) {
+    if (entry->stopping.load()) {
+      return;  // a stopped pilot starts no ready unit
+    }
     bool ok = true;
     try {
-      if (work) {
-        work();
+      if (launch.work) {
+        launch.work();
       } else {
-        pa::burn_cpu(duration);
+        pa::burn_cpu(launch.duration);
       }
     } catch (const std::exception& e) {
       PA_LOG(kWarn, "local-rt")
-          << "unit " << unit_id << " payload threw: " << e.what();
+          << "unit " << launch.unit_id << " payload threw: " << e.what();
       ok = false;
     } catch (...) {
       ok = false;
     }
+    // Free this unit's cores and take the ready launches that now fit,
+    // in order: the first that does not fit keeps its place and those
+    // behind it wait too.
+    std::vector<Launch> next;
+    {
+      check::MutexLock lock(entry->mutex);
+      entry->free_cores += launch.cores;
+      while (!entry->stopping.load() && !entry->ready.empty() &&
+             entry->ready.front().cores <= entry->free_cores) {
+        entry->free_cores -= entry->ready.front().cores;
+        next.push_back(std::move(entry->ready.front()));
+        entry->ready.pop_front();
+      }
+    }
     if (entry->stopping.load()) {
       return;  // pilot cancelled while we ran; completion is moot
     }
-    done(ok);
-  });
+    launch.on_done(ok);
+    if (next.empty()) {
+      return;
+    }
+    for (std::size_t i = 1; i < next.size(); ++i) {
+      start(entry, std::move(next[i]));
+    }
+    launch = std::move(next.front());
+  }
 }
 
 void LocalRuntime::drive_until(const std::function<bool()>& predicate,

@@ -535,13 +535,15 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         desc.resource_url = "local://" + desc.resource_url.substr(9);
       }
       core::PilotRuntimeCallbacks callbacks;
-      callbacks.on_active = [this](const std::string&, int total_cores,
+      // The agent feeds its runtime one unit per core (that runtime holds
+      // its own ready units) and announces a queue sized by the cores.
+      callbacks.on_active = [this](const std::string&, core::PilotCapacity cap,
                                    const std::string& site) {
         {
           check::MutexLock lock(sched_mu_);
-          slots_ = total_cores;
+          slots_ = cap.cores;
         }
-        active_cores_ = total_cores;
+        active_cores_ = cap.cores;
         active_site_ = site;
         active_sent_.store(true, std::memory_order_release);
         announce_active();
@@ -1062,7 +1064,9 @@ void RemoteRuntime::handle_message(
       break;
     }
     case net::MessageType::kPilotActive: {
-      std::function<void(const std::string&, int, const std::string&)> cb;
+      std::function<void(const std::string&, core::PilotCapacity,
+                         const std::string&)>
+          cb;
       std::string peer_endpoint;
       {
         check::MutexLock lock(mutex_);
@@ -1083,12 +1087,13 @@ void RemoteRuntime::handle_message(
       }
       // Callbacks run with no net lock held: they re-enter the service
       // (rank 10 < ours) — see the lock-hierarchy note in the header.
-      // The service sizes the pilot by the agent's queue capacity, not
-      // its cores: the service's slot accounting is then the dispatch
-      // flow control, and the agent still binds units to its real cores.
-      // A re-announce after a reconnect repeats the same capacity.
+      // The service fits units by the pilot's real cores and binds up to
+      // the agent's queue capacity: its capacity accounting is then the
+      // dispatch flow control, and the agent binds units to its cores.
+      // A re-announce after a reconnect repeats the same figures.
       if (cb) {
-        cb(m.pilot_id, m.capacity, m.site);
+        cb(m.pilot_id, core::PilotCapacity{m.total_cores, m.capacity},
+           m.site);
       }
       dispatch_->kick();  // units may already be queued for this pilot
       break;

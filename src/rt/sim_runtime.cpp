@@ -45,7 +45,10 @@ void SimRuntime::start_pilot(const std::string& pilot_id,
       }
       entry->active = true;
       if (entry->callbacks.on_active) {
-        entry->callbacks.on_active(pilot_id, alloc.total_cores(), alloc.site);
+        // Simulated units start the moment they bind: no ready slots.
+        const int cores = alloc.total_cores();
+        entry->callbacks.on_active(pilot_id, core::PilotCapacity{cores, cores},
+                                   alloc.site);
       }
     });
   };

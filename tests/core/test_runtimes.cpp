@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "pa/common/error.h"
+#include "pa/core/pilot_compute_service.h"
 #include "pa/infra/batch_cluster.h"
 #include "pa/rt/local_runtime.h"
 #include "pa/rt/sim_runtime.h"
@@ -43,9 +47,10 @@ TEST_F(SimRuntimeTest, PilotActivationAfterBootstrap) {
   int cores = 0;
   std::string site;
   core::PilotRuntimeCallbacks cb;
-  cb.on_active = [&](const std::string&, int c, const std::string& s) {
+  cb.on_active = [&](const std::string&, core::PilotCapacity c,
+                    const std::string& s) {
     active_at = engine_.now();
-    cores = c;
+    cores = c.cores;
     site = s;
   };
   runtime_->start_pilot("p1", pilot_desc(), std::move(cb));
@@ -90,7 +95,8 @@ TEST_F(SimRuntimeTest, CancelTerminatesAsCanceled) {
 TEST_F(SimRuntimeTest, UnitCompletionAfterDurationPlusOverhead) {
   bool active = false;
   core::PilotRuntimeCallbacks cb;
-  cb.on_active = [&](const std::string&, int, const std::string&) {
+  cb.on_active = [&](const std::string&, core::PilotCapacity,
+                    const std::string&) {
     active = true;
   };
   runtime_->start_pilot("p1", pilot_desc(), std::move(cb));
@@ -148,9 +154,10 @@ TEST(LocalRuntimeTest, ActivationIsSynchronous) {
   LocalRuntime runtime;
   bool active = false;
   core::PilotRuntimeCallbacks cb;
-  cb.on_active = [&](const std::string&, int cores, const std::string&) {
+  cb.on_active = [&](const std::string&, core::PilotCapacity cap,
+                    const std::string&) {
     active = true;
-    EXPECT_EQ(cores, 3);
+    EXPECT_EQ(cap.cores, 3);
   };
   core::PilotDescription d;
   d.resource_url = "local://box";
@@ -212,6 +219,156 @@ TEST(LocalRuntimeTest, CancelSuppressesLateCompletions) {
   release.store(true);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(completed.load());  // stale completion was swallowed
+}
+
+TEST(LocalRuntimeTest, ActivationReportsCoresAndCapacity) {
+  // LocalRuntime: one ready unit per core beyond the cores.
+  for (const int cores : {1, 3}) {
+    LocalRuntime runtime;
+    core::PilotCapacity reported;
+    core::PilotRuntimeCallbacks cb;
+    cb.on_active = [&](const std::string&, core::PilotCapacity cap,
+                       const std::string&) { reported = cap; };
+    core::PilotDescription d;
+    d.resource_url = "local://box";
+    d.nodes = cores;
+    d.walltime = 1e9;
+    runtime.start_pilot("p1", d, std::move(cb));
+    EXPECT_EQ(reported.cores, cores);
+    EXPECT_EQ(reported.capacity, 2 * cores);
+  }
+  // SimRuntime: a simulated unit starts when it binds, so no ready slots.
+  sim::Engine engine;
+  saga::Session session;
+  infra::BatchClusterConfig cfg;
+  cfg.name = "hpc";
+  cfg.num_nodes = 4;
+  cfg.node.cores = 8;
+  session.register_resource(
+      "slurm://hpc", std::make_shared<infra::BatchCluster>(engine, cfg));
+  SimRuntime sim_runtime(engine, session);
+  core::PilotCapacity reported;
+  core::PilotRuntimeCallbacks cb;
+  cb.on_active = [&](const std::string&, core::PilotCapacity cap,
+                     const std::string&) { reported = cap; };
+  core::PilotDescription d;
+  d.resource_url = "slurm://hpc";
+  d.nodes = 2;
+  d.walltime = 1000.0;
+  sim_runtime.start_pilot("p1", d, std::move(cb));
+  engine.run_until(10.0);
+  EXPECT_EQ(reported.cores, 16);
+  EXPECT_EQ(reported.capacity, 16);
+}
+
+TEST(LocalRuntimeTest, LaunchBiggerThanPilotFailsAtOnce) {
+  LocalRuntime runtime;
+  core::PilotDescription d;
+  d.resource_url = "local://box";
+  d.nodes = 2;
+  d.walltime = 1e9;
+  runtime.start_pilot("p1", d, {});
+  bool ran = false;
+  int completions = 0;
+  bool success = true;
+  core::ComputeUnitDescription unit;
+  unit.cores = 3;
+  unit.work = [&ran]() { ran = true; };
+  runtime.execute_unit("p1", unit, "u1", [&](bool ok) {
+    ++completions;
+    success = ok;
+  });
+  EXPECT_EQ(completions, 1);  // synchronously, from execute_unit
+  EXPECT_FALSE(success);
+  EXPECT_FALSE(ran);
+}
+
+/// Opens its gate on every exit, so a failed assertion cannot leave a
+/// worker blocked in teardown.
+struct Gate {
+  std::atomic<bool> open{false};
+  ~Gate() { open.store(true); }
+  void wait() const {
+    while (!open.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+TEST(LocalRuntimeTest, StoppedPilotStartsNoReadyUnit) {
+  // Runtime level: one core, one running unit, two ready ones. After the
+  // cancel neither ready payload runs and no completion fires.
+  {
+    Gate gate;
+    std::atomic<bool> first_started{false};
+    std::atomic<int> ready_ran{0};
+    std::atomic<int> completions{0};
+    LocalRuntime runtime;
+    core::PilotDescription d;
+    d.resource_url = "local://box";
+    d.nodes = 1;
+    d.walltime = 1e9;
+    runtime.start_pilot("p1", d, {});
+    core::ComputeUnitDescription blocking;
+    blocking.work = [&]() {
+      first_started.store(true);
+      gate.wait();
+    };
+    core::ComputeUnitDescription ready;
+    ready.work = [&ready_ran]() { ready_ran.fetch_add(1); };
+    const auto count = [&completions](bool) { completions.fetch_add(1); };
+    runtime.execute_unit("p1", blocking, "u1", count);
+    runtime.execute_unit("p1", ready, "u2", count);
+    runtime.execute_unit("p1", ready, "u3", count);
+    runtime.drive_until([&]() { return first_started.load(); }, 10.0);
+    runtime.cancel_pilot("p1");
+    gate.open.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(ready_ran.load(), 0);
+    EXPECT_EQ(completions.load(), 0);
+  }
+  // Service level: the ready unit was bound (RUNNING) when the pilot went;
+  // the service requeues it exactly once and it stays PENDING.
+  // Declared before the runtime and the service: payloads and observers
+  // reference them until both are gone.
+  Gate gate;
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> ready_ran{false};
+  std::atomic<int> requeued{0};
+  LocalRuntime runtime;
+  core::PilotComputeService service(runtime, "backfill");
+  service.observe_units([&requeued](const std::string& id,
+                                    core::UnitState from, core::UnitState to) {
+    if (id == "unit-1" && from == core::UnitState::kRunning &&
+        to == core::UnitState::kPending) {
+      requeued.fetch_add(1);
+    }
+  });
+  core::PilotDescription d;
+  d.resource_url = "local://box";
+  d.nodes = 1;
+  d.walltime = 1e9;
+  core::Pilot pilot = service.submit_pilot(d);
+  pilot.wait_active(5.0);
+  core::ComputeUnitDescription blocking;
+  blocking.work = [&]() {
+    first_started.store(true);
+    gate.wait();
+  };
+  core::ComputeUnitDescription ready;
+  ready.work = [&ready_ran]() { ready_ran.store(true); };
+  core::ComputeUnit running = service.submit_unit(blocking);
+  core::ComputeUnit held = service.submit_unit(ready);
+  runtime.drive_until([&]() { return first_started.load(); }, 10.0);
+  EXPECT_EQ(held.state(), core::UnitState::kRunning);  // in a ready slot
+  pilot.cancel();
+  gate.open.store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(held.state(), core::UnitState::kPending);
+  EXPECT_EQ(running.state(), core::UnitState::kPending);
+  EXPECT_FALSE(ready_ran.load());
+  EXPECT_EQ(requeued.load(), 1);
+  EXPECT_EQ(service.metrics().requeues, 2u);
 }
 
 }  // namespace

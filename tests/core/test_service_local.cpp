@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "pa/common/error.h"
 #include "pa/core/pilot_compute_service.h"
@@ -111,6 +113,55 @@ TEST_F(LocalServiceTest, MultiCoreUnitsReserveCores) {
   }
   service_->wait_all_units(60.0);
   EXPECT_LE(max_concurrent.load(), 2);
+}
+
+TEST_F(LocalServiceTest, ReadySlotsNeverIdleAnotherPilot) {
+  // Each pilot takes two units beyond its cores, but a pass fills idle
+  // cores on every pilot before any ready slot: all four run at once.
+  service_->submit_pilot(pilot_desc(2)).wait_active(5.0);
+  service_->submit_pilot(pilot_desc(2)).wait_active(5.0);
+  constexpr double kUnitSeconds = 0.05;
+  std::atomic<int> concurrent{0};
+  std::atomic<int> max_concurrent{0};
+  std::vector<ComputeUnitDescription> batch(4);
+  for (auto& d : batch) {
+    d.work = [&]() {
+      const int now = concurrent.fetch_add(1) + 1;
+      int prev = max_concurrent.load();
+      while (prev < now && !max_concurrent.compare_exchange_weak(prev, now)) {
+      }
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(kUnitSeconds));
+      concurrent.fetch_sub(1);
+    };
+  }
+  const auto start = std::chrono::steady_clock::now();
+  service_->submit_units(batch);
+  service_->wait_all_units(60.0);
+  const double makespan = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  // Two units per two-core pilot: four at once needs both pilots.
+  EXPECT_EQ(max_concurrent.load(), 4);
+  EXPECT_LT(makespan, 1.5 * kUnitSeconds);
+  EXPECT_EQ(service_->metrics().units_done, 4u);
+}
+
+TEST_F(LocalServiceTest, UnitLargerThanPilotStaysPending) {
+  // The pilot's capacity (4) would hold a 3-core unit, its cores (2) not.
+  service_->submit_pilot(pilot_desc(2)).wait_active(5.0);
+  std::atomic<bool> ran{false};
+  ComputeUnitDescription big;
+  big.cores = 3;
+  big.work = [&ran]() { ran.store(true); };
+  ComputeUnit unit = service_->submit_unit(big);
+  ComputeUnitDescription small;
+  small.work = []() {};
+  // A later unit that fits runs: the pass did look at the queue.
+  EXPECT_EQ(service_->submit_unit(small).wait(30.0), UnitState::kDone);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(unit.state(), UnitState::kPending);
+  EXPECT_FALSE(ran.load());
 }
 
 TEST_F(LocalServiceTest, CoresPerNodeAttribute) {

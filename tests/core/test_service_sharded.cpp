@@ -305,6 +305,22 @@ TEST_F(ShardedSimTest, CancelAfterMoveReachesNewOwner) {
   EXPECT_THROW(service_->cancel_unit("unit-99"), NotFound);
 }
 
+TEST_F(ShardedSimTest, UnitThatFitsNoPilotsWalltimeStaysPending) {
+  // A 100 s unit and a 50 s pilot on each shard: the unit fits neither,
+  // so it stays PENDING where it is instead of bouncing between shards.
+  make_service(2, "fifo");
+  PilotDescription short_pilot = pilot_desc(1);
+  short_pilot.walltime = 50.0;
+  Pilot p0 = service_->submit_pilot(short_pilot);  // pilot-0 -> shard 0
+  Pilot p1 = service_->submit_pilot(short_pilot);  // pilot-1 -> shard 1
+  p0.wait_active();
+  p1.wait_active();
+  ComputeUnit unit = service_->submit_unit(unit_desc(100.0));  // shard 0
+  EXPECT_EQ(unit.state(), UnitState::kPending);
+  EXPECT_EQ(service_->shard_of(unit.id()), 0);
+  EXPECT_EQ(service_->unfinished_units(), 1u);
+}
+
 TEST(ShardedSimDeterminism, HandOverRunsRepeatBitForBit) {
   const auto run = []() {
     sim::Engine engine;
@@ -550,6 +566,43 @@ TEST_F(ShardedLocalTest, ObserversAndMetricsSurviveShutdownWithShards) {
     }
   }
   EXPECT_EQ(shard_series, 4);
+}
+
+TEST_F(ShardedLocalTest, UnitThatFitsNoPilotWaitsIdleUntilOneDoes) {
+  make_service(2);
+  service_->attach_observability(nullptr, &metrics_);
+  PilotDescription short_pilot = pilot_desc(1);
+  short_pilot.walltime = 50.0;
+  service_->submit_pilot(short_pilot).wait_active(5.0);  // pilot-0 -> shard 0
+  service_->submit_pilot(short_pilot).wait_active(5.0);  // pilot-1 -> shard 1
+  ComputeUnitDescription quick;
+  quick.work = []() {};
+  EXPECT_EQ(service_->submit_unit(quick).wait(30.0),  // unit-0 -> shard 0
+            UnitState::kDone);
+  std::atomic<bool> ran{false};
+  ComputeUnitDescription long_unit;
+  long_unit.duration = 100.0;  // more than either pilot has left
+  long_unit.work = [&ran]() { ran.store(true); };
+  ComputeUnit unit = service_->submit_unit(long_unit);  // unit-1 -> shard 1
+
+  // Both apply threads go idle: no hand-over, no executed pass.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  obs::Counter& passes = metrics_.counter("wm.schedule_passes");
+  obs::Counter& handed = metrics_.counter("pcs.units_handed_over");
+  const std::uint64_t passes_before = passes.value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(passes.value(), passes_before);
+  EXPECT_EQ(handed.value(), 0u);
+  EXPECT_EQ(unit.state(), UnitState::kPending);
+  EXPECT_EQ(service_->shard_of(unit.id()), 1);
+
+  // A pilot with enough walltime comes up on the other shard: that shard
+  // asks again, takes the unit and runs it.
+  service_->submit_pilot(pilot_desc(1));  // pilot-2 -> shard 0
+  EXPECT_EQ(unit.wait(30.0), UnitState::kDone);
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(service_->shard_of(unit.id()), 0);
+  EXPECT_EQ(handed.value(), 1u);
 }
 
 }  // namespace

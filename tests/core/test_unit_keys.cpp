@@ -56,7 +56,8 @@ class ScriptedRuntime : public Runtime {
 
   void set_now(double now) { now_ = now; }
   void activate(const std::string& pilot_id, int cores) {
-    pilots_.at(pilot_id).on_active(pilot_id, cores, "site");
+    pilots_.at(pilot_id).on_active(pilot_id, PilotCapacity{cores, cores},
+                                   "site");
   }
   void end(const std::string& pilot_id, PilotState state) {
     const auto on_terminated = pilots_.at(pilot_id).on_terminated;
@@ -124,9 +125,9 @@ TEST(UnitKeys, DirtiedHandedAwayAndBackInOneBatchPublishesOnce) {
   ledger.attach(service);
 
   service.submit_pilot(pilot_desc(500.0));  // pilot-0 -> shard 0
-  service.submit_pilot(pilot_desc(50.0));   // pilot-1 -> shard 1
+  service.submit_pilot(pilot_desc(500.0));  // pilot-1 -> shard 1
   runtime.activate("pilot-0", 2);
-  ComputeUnit x = service.submit_unit(unit_desc(100.0));  // unit-0, shard 0
+  ComputeUnit x = service.submit_unit(unit_desc(10.0));  // unit-0, shard 0
   EXPECT_EQ(x.state(), UnitState::kRunning);
   service.advance_ids(0, 2);
   runtime.set_now(450.0);
@@ -136,12 +137,15 @@ TEST(UnitKeys, DirtiedHandedAwayAndBackInOneBatchPublishesOnce) {
 
   // pilot-0 fails. In one batch shard 0 requeues x (dirty), restarts the
   // pilot as pilot-2, whose submission brings pilot-1 up on shard 1 (two
-  // free cores, 50 s of walltime). Shard 1 asks for work, shard 0 hands
-  // x and y over, and shard 1, which can run neither, hands x back to
-  // shard 0's advertised free core — all before shard 0's batch end.
+  // free cores, 500 s of walltime) and cancels it at once. Shard 1 asked
+  // for work while pilot-1 was up, so shard 0 hands x and y over; shard 1,
+  // which now has no pilot, hands x back to the free core shard 0 still
+  // advertises (50 s left: x fits, y does not) — all before shard 0's
+  // batch end.
   runtime.on_start = [&runtime](const std::string& pilot_id) {
     if (pilot_id == "pilot-2") {
       runtime.activate("pilot-1", 2);
+      runtime.end("pilot-1", PilotState::kCanceled);
     }
   };
   const std::uint64_t batches = registry.counter("ctrl.s0.batches").value();

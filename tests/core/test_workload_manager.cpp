@@ -381,10 +381,13 @@ class StubAdmission : public AdmissionInterface {
   void unit_finalized(const std::string&, UnitState, double) override {}
   void pilot_released(const std::string&) override {}
   double tenant_weight(const std::string& tenant) const override {
+    ++weight_reads[tenant];
     const auto it = weights.find(tenant);
     return it == weights.end() ? 1.0 : it->second;
   }
   std::map<std::string, double> weights;
+  /// tenant_weight calls per tenant: one per credit.
+  mutable std::map<std::string, int> weight_reads;
 };
 
 ComputeUnitDescription tenant_unit(const std::string& tenant, int cores = 1) {
@@ -570,7 +573,7 @@ TEST(WorkloadManager, TakeQueuedTakesOnlyWhatFitsTheFreeCores) {
   // The survivors still schedule normally.
   wm.add_pilot("p1", "s", 8, 0, 0.0, 1e9);
   EXPECT_EQ(wm.schedule_pass(0.0, nullptr).size(), 1u);  // fifo: "big"
-  EXPECT_EQ(wm.max_free_cores(), 0);
+  EXPECT_EQ(wm.hand_over_offer().cores, 0);
 }
 
 
@@ -764,6 +767,123 @@ TEST(WorkloadManagerCompaction, PassCostIndependentOfQueueDepth) {
   const double deep = seconds_per_passes(65536, kPasses);
   EXPECT_LT(deep, 4.0 * shallow)
       << "depth 1k: " << shallow << " s, depth 64k: " << deep << " s";
+}
+
+// ---------------------------------------------------------------------------
+// Capacity beyond cores: two-tier passes.
+// ---------------------------------------------------------------------------
+
+TEST(WorkloadManagerFairShare, TwoTierPassCreditsEachTenantOnce) {
+  // Two cores, capacity four: tier 1 binds two units, tier 2 two more.
+  // Credited once, the 3:1 weights grant 3:1 over the whole pass; a
+  // second credit before tier 2 would hand "a" all four.
+  StubAdmission adm;
+  adm.weights["a"] = 3.0;
+  adm.weights["b"] = 1.0;
+  WorkloadManager wm(make_scheduler("fifo"));
+  wm.set_admission(&adm);
+  wm.set_fair_share(true);
+  wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9, /*capacity=*/4);
+  for (int i = 0; i < 4; ++i) {
+    enqueue(wm, "a-" + std::to_string(i), tenant_unit("a"));
+    enqueue(wm, "b-" + std::to_string(i), tenant_unit("b"));
+  }
+  const auto grants = grants_by_tenant(wm.schedule_pass(0.0, nullptr));
+  EXPECT_EQ(grants.at("a"), 3);
+  EXPECT_EQ(grants.at("b"), 1);
+  EXPECT_EQ(adm.weight_reads.at("a"), 1);
+  EXPECT_EQ(adm.weight_reads.at("b"), 1);
+}
+
+TEST(WorkloadManagerTiers, IdleCoresOnEveryPilotFillBeforeReadySlots) {
+  WorkloadManager wm(make_scheduler("backfill"));
+  wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9, /*capacity=*/4);
+  wm.add_pilot("p2", "s", 2, 0, 0.0, 1e9, /*capacity=*/4);
+  for (int i = 0; i < 4; ++i) {
+    enqueue(wm, "t" + std::to_string(i), unit_desc());
+  }
+  // First fit over the capacity alone would put all four on p1.
+  std::map<std::string, int> per_pilot;
+  for (const auto& b : wm.schedule_pass(0.0, nullptr)) {
+    ++per_pilot[b.pilot_id];
+  }
+  EXPECT_EQ(per_pilot["p1"], 2);
+  EXPECT_EQ(per_pilot["p2"], 2);
+  // The next units take the ready slots.
+  for (int i = 4; i < 8; ++i) {
+    enqueue(wm, "t" + std::to_string(i), unit_desc());
+  }
+  EXPECT_EQ(wm.schedule_pass(0.0, nullptr).size(), 4u);
+  EXPECT_EQ(wm.total_free_cores(), 0);
+  EXPECT_EQ(wm.hand_over_offer().cores, 0);
+}
+
+TEST(WorkloadManagerTiers, UnitBiggerThanCoresNeverBindsIntoCapacity) {
+  WorkloadManager wm(make_scheduler("backfill"));
+  wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9, /*capacity=*/4);
+  enqueue(wm, "big", unit_desc(3));
+  enqueue(wm, "fits", unit_desc(2));
+  EXPECT_EQ(ids_of(wm.schedule_pass(0.0, nullptr)), (Ids{"fits"}));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"big"}));
+  // Free capacity is 2 and the pilot has 2 cores: a 2-core unit fits a
+  // ready slot, the 3-core one still nowhere.
+  EXPECT_EQ(wm.free_cores("p1"), 2);
+  EXPECT_EQ(wm.hand_over_offer().cores, 2);
+  EXPECT_TRUE(wm.take_queued_units(wm.hand_over_offer().cores).empty());
+}
+
+TEST(WorkloadManagerTiers, CapacityEqualToCoresRunsOneStrategyCall) {
+  int calls = 0;
+  class Counting : public Scheduler {
+   public:
+    Counting(std::unique_ptr<Scheduler> inner, int* calls)
+        : inner_(std::move(inner)), calls_(calls) {}
+    std::vector<Assignment> schedule(
+        const std::deque<UnitView>& queued,
+        const std::vector<PilotView>& pilots) override {
+      ++*calls_;
+      return inner_->schedule(queued, pilots);
+    }
+    const char* name() const override { return inner_->name(); }
+
+   private:
+    std::unique_ptr<Scheduler> inner_;
+    int* calls_;
+  };
+  WorkloadManager wm(
+      std::make_unique<Counting>(make_scheduler("backfill"), &calls));
+  wm.add_pilot("p1", "s", 2, 0, 0.0, 1e9);
+  for (int i = 0; i < 3; ++i) {
+    enqueue(wm, "c" + std::to_string(i), unit_desc());
+  }
+  EXPECT_EQ(wm.schedule_pass(0.0, nullptr).size(), 2u);
+  EXPECT_EQ(calls, 1);
+  // All cores bound: nothing to offer, so no strategy call at all.
+  enqueue(wm, "c3", unit_desc());
+  EXPECT_TRUE(wm.schedule_pass(0.0, nullptr).empty());
+  EXPECT_EQ(calls, 1);
+  // Ready slots only: one call (tier 2), no tier-1 call.
+  WorkloadManager deep(
+      std::make_unique<Counting>(make_scheduler("backfill"), &calls));
+  deep.add_pilot("p1", "s", 1, 0, 0.0, 1e9, /*capacity=*/3);
+  enqueue(deep, "d0", unit_desc());
+  EXPECT_EQ(deep.schedule_pass(0.0, nullptr).size(), 1u);  // tier 1
+  EXPECT_EQ(calls, 2);
+  enqueue(deep, "d1", unit_desc());
+  EXPECT_EQ(deep.schedule_pass(0.0, nullptr).size(), 1u);  // tier 2
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(WorkloadManagerHandOver, TakesOnlyUnitsThatFitTheRemainingWalltime) {
+  WorkloadManager wm(make_scheduler("fifo"));
+  enqueue(wm, "long", unit_desc(1, 100.0));
+  enqueue(wm, "short", unit_desc(1, 10.0));
+  const auto taken = wm.take_queued_units(4, /*remaining_walltime=*/50.0);
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].key, key("short"));
+  EXPECT_EQ(wm.queued_unit_ids(), (Ids{"long"}));
+  EXPECT_TRUE(wm.take_queued_units(4, 99.0).empty());
+  EXPECT_EQ(wm.take_queued_units(4, 100.0).size(), 1u);
 }
 
 }  // namespace

@@ -715,6 +715,59 @@ TEST(RemoteRuntime, AgentNeverHoldsMoreThanItsQueueCapacity) {
   transport.stop();
 }
 
+// A remote pilot reports its cores next to its queue capacity: the
+// service fits each unit by the cores and the agent's runtime reserves
+// them, so two-core units on a two-core pilot run one at a time although
+// the agent takes 32 units.
+TEST(RemoteRuntime, MultiCoreUnitsReserveAgentCores) {
+  net::InProcTransport transport;
+  RemoteStack stack(transport, "inproc://manager");
+  Pilot pilot = stack.service->submit_pilot(remote_pilot(2));
+  pilot.wait_active(10.0);
+  std::atomic<int> concurrent{0};
+  std::atomic<int> max_concurrent{0};
+  std::vector<ComputeUnitDescription> descs(6);
+  for (auto& d : descs) {
+    d.cores = 2;
+    d.work = [&]() {
+      const int now = concurrent.fetch_add(1) + 1;
+      int prev = max_concurrent.load();
+      while (prev < now && !max_concurrent.compare_exchange_weak(prev, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      concurrent.fetch_sub(1);
+    };
+  }
+  const std::vector<ComputeUnit> units = stack.service->submit_units(descs);
+  stack.service->wait_all_units(60.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone) << u.id();
+  }
+  EXPECT_EQ(max_concurrent.load(), 1);
+  transport.stop();
+}
+
+// A unit bigger than the pilot's cores never binds, whatever the agent's
+// queue capacity.
+TEST(RemoteRuntime, UnitLargerThanPilotCoresStaysPending) {
+  net::InProcTransport transport;
+  RemoteStack stack(transport, "inproc://manager");
+  Pilot pilot = stack.service->submit_pilot(remote_pilot(2));
+  pilot.wait_active(10.0);
+  std::atomic<bool> ran{false};
+  ComputeUnitDescription big;
+  big.cores = 3;
+  big.work = [&ran]() { ran.store(true); };
+  ComputeUnit unit = stack.service->submit_unit(big);
+  ComputeUnitDescription small;
+  small.work = []() {};
+  // A later unit that fits runs: the pass did look at the queue.
+  EXPECT_EQ(stack.service->submit_unit(small).wait(30.0), UnitState::kDone);
+  EXPECT_EQ(unit.state(), UnitState::kPending);
+  EXPECT_FALSE(ran.load());
+  transport.stop();
+}
+
 // ---------------------------------------------------------------------------
 // Batch dispatch: a schedule pass reaches each pilot's agent as one
 // kUnitBatch message, split across frames only by units.
@@ -869,11 +922,11 @@ class VanishingPilotRuntime final : public core::Runtime {
                    const core::PilotDescription& description,
                    core::PilotRuntimeCallbacks callbacks) override {
     callbacks.on_active = [this, on_active = std::move(callbacks.on_active)](
-                              const std::string& id, int cores,
+                              const std::string& id, core::PilotCapacity cap,
                               const std::string& site) {
       check::MutexLock lock(mu_);
-      held_.push_back([on_active, id, cores, site] {
-        on_active(id, cores, site);
+      held_.push_back([on_active, id, cap, site] {
+        on_active(id, cap, site);
       });
     };
     inner->start_pilot(pilot_id, description, std::move(callbacks));
