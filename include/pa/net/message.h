@@ -26,7 +26,7 @@
 ///     manager ◀──kHello─────── agent      (pilot id + peer dial address)
 ///     manager ──kStartPilot──▶ agent      (description + token-MAC key)
 ///     manager ◀─kPilotActive── agent      (allocation up: cores, site and
-///                                          the agent's unit-queue capacity)
+///                                          the most units the agent holds)
 ///     manager ──kUnitBatch───▶ agent      (units; the agent late-binds
 ///                                          them to cores)
 ///     manager ◀kUnitDoneBatch─ agent      (completions)
@@ -197,8 +197,8 @@ struct Message {
   double cost_per_core_hour = 0.0;
   std::string pilot_attributes;  ///< pa::Config::to_string round-trip
 
-  // kPilotActive. `capacity` is the agent's unit-queue capacity
-  // (queue_factor × cores): the manager reports it to the service as the
+  // kPilotActive. `capacity` is the most units the agent holds, waiting
+  // and running (queue_factor × cores): the manager reports it to the service as the
   // pilot's size, so the service never has more units in flight on the
   // pilot than the agent can hold.
   std::int32_t total_cores = 0;

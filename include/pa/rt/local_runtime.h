@@ -64,6 +64,9 @@ class LocalRuntime : public core::Runtime {
                     const std::string& unit_id,
                     std::function<void(bool)> on_done) override;
   double now() const override;
+  /// Launches of `pilot_id` waiting in its ready FIFO for cores; 0 for a
+  /// pilot this runtime does not know (never started, or cancelled).
+  std::size_t ready_units(const std::string& pilot_id) const;
   void drive_until(const std::function<bool()>& predicate,
                    double timeout_seconds) override;
 

@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,14 +77,14 @@ class PayloadTable {
 
 struct AgentEndpointConfig {
   LocalRuntimeConfig local;
-  /// Local unit-queue capacity = queue_factor × pilot cores. This is the
-  /// pilot's dispatch depth: the agent announces it in kPilotActive next
-  /// to its cores, the manager reports both to the service
-  /// (PilotCapacity), and the service's capacity accounting then never
-  /// has more units in flight on the pilot than the agent can queue and
-  /// run, while it fits each unit by the real cores. Short units need
-  /// depth to cover the wire round-trip, so the agent keeps several
-  /// batches of queued work per slot.
+  /// Units the agent holds, waiting and running = queue_factor × pilot
+  /// cores. This is the pilot's dispatch depth: the agent announces it in
+  /// kPilotActive next to its cores, the manager reports both to the
+  /// service (PilotCapacity), and the service's capacity accounting then
+  /// never has more units in flight on the pilot than that, while it fits
+  /// each unit by the real cores. Short units need depth to cover the
+  /// wire round-trip, so the agent keeps several batches of ready work
+  /// per core.
   int queue_factor = 16;
   /// Completion-outbox flusher (group-commit batching of completions
   /// into kUnitDoneBatch frames).
@@ -106,12 +105,12 @@ struct AgentEndpointConfig {
 /// placeholder job that exec's an agent binary doing exactly this.
 ///
 /// Late binding (the RADICAL-Pilot bulk-dispatch discipline): units
-/// arrive in kUnitBatch frames and land in a local queue; a small
-/// scheduler binds them to LocalRuntime slots as cores free up, so the
-/// manager round-trip is off the per-unit critical path. Completions ride
-/// a BatchFlusher outbox that coalesces them into kUnitDoneBatch frames
-/// and — unlike the old fire-and-forget send — retries frames the
-/// transport rejects under backpressure.
+/// arrive in kUnitBatch frames and go straight to the embedded
+/// LocalRuntime, whose ready FIFO binds them to cores as cores free up,
+/// in arrival order, so the manager round-trip is off the per-unit
+/// critical path. Completions ride a BatchFlusher outbox that coalesces
+/// them into kUnitDoneBatch frames and — unlike the old fire-and-forget
+/// send — retries frames the transport rejects under backpressure.
 ///
 /// Peer channel: the agent also listens on its own endpoint and
 /// publishes the resolved address in kHello. The manager brokers bulk replication by minting signed
@@ -157,9 +156,9 @@ class AgentEndpoint {
   /// transfers sourced from this pilot).
   const std::string& peer_endpoint() const { return peer_endpoint_; }
 
-  /// Snapshot of the late-binding scheduler (telemetry / debugging).
+  /// Snapshot of the units the agent holds (telemetry / debugging).
   struct SchedulerStats {
-    std::size_t queued = 0;       ///< units awaiting a slot
+    std::size_t queued = 0;       ///< units waiting for a core
     std::size_t outstanding = 0;  ///< units running in the LocalRuntime
     std::int32_t slots = 0;       ///< pilot cores (0 until kPilotActive)
     std::int32_t window = 0;      ///< free queue slots (capacity − held)
@@ -214,11 +213,9 @@ class AgentEndpoint {
   /// present the offer; any failure reports kPeerDone{success=false} so
   /// the manager regrants or falls back to the star.
   void handle_xfer_token(const net::Message& m);
-  /// Enqueues units and pumps the local scheduler.
-  void enqueue_units(std::vector<net::WireUnitDescription> units);
-  /// Binds queued units to free LocalRuntime slots.
-  void pump();
-  void dispatch(net::WireUnitDescription unit);
+  /// Hands one unit to the embedded runtime with its payload; a unit the
+  /// runtime rejects completes unsuccessfully.
+  void dispatch(const net::WireUnitDescription& unit);
   void complete(const std::string& unit_id, bool success);
   /// Outbox sink: arena-encodes a batch (merging each run of queued
   /// kUnitDoneBatch items into one frame) and gathers it into the
@@ -254,7 +251,9 @@ class AgentEndpoint {
 
   std::atomic<bool> unresponsive_{false};
   std::atomic<bool> started_{false};
-  std::atomic<bool> draining_{false};  ///< set by ~AgentEndpoint
+  /// Set by ~AgentEndpoint: the cancel of the embedded pilot reports
+  /// nothing, and neither does a unit the cancelled runtime rejects.
+  std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> seq_{0};
   /// Max completions merged per kUnitDoneBatch frame; halves on transport
   /// reject (so frames shrink until they fit the send queue), doubles on
@@ -270,13 +269,8 @@ class AgentEndpoint {
   std::string active_site_;
   std::atomic<bool> active_sent_{false};
 
-  /// Agent-local scheduler state (rank kNetRuntime; never held across
-  /// LocalRuntime calls or sends).
-  mutable check::Mutex sched_mu_{check::LockRank::kNetRuntime,
-                                 "rt::AgentEndpoint"};
-  std::deque<net::WireUnitDescription> queue_ PA_GUARDED_BY(sched_mu_);
-  int slots_ PA_GUARDED_BY(sched_mu_) = 0;        ///< pilot cores
-  int outstanding_ PA_GUARDED_BY(sched_mu_) = 0;  ///< units inside local_
+  /// Units handed to local_ and not yet completed: waiting or running.
+  std::atomic<std::size_t> held_{0};
 
   std::string arena_;  ///< flusher-thread-only encode buffer
   obs::Counter* send_rejected_counter_ = nullptr;
@@ -435,8 +429,8 @@ class RemoteRuntime : public core::Runtime {
   /// and the transport/connection/payload locks (15/16/18) the send path
   /// takes. NEVER held while invoking service callbacks or
   /// Connection::close() — copy under the lock, release, then call out.
-  /// Since the event-driven refactor the service calls execute_unit from
-  /// its apply thread with no lock held; callbacks post commands.
+  /// The service calls execute_units from its apply thread with no lock
+  /// held; callbacks post commands.
   mutable check::Mutex mutex_{check::LockRank::kNetRuntime,
                               "rt::RemoteRuntime"};
   check::CondVar cv_;

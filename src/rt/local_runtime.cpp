@@ -192,6 +192,20 @@ void LocalRuntime::run(const std::shared_ptr<PilotEntry>& entry,
   }
 }
 
+std::size_t LocalRuntime::ready_units(const std::string& pilot_id) const {
+  std::shared_ptr<PilotEntry> entry;
+  {
+    check::MutexLock lock(mutex_);
+    const auto it = pilots_.find(pilot_id);
+    if (it == pilots_.end()) {
+      return 0;
+    }
+    entry = it->second;
+  }
+  check::MutexLock lock(entry->mutex);
+  return entry->ready.size();
+}
+
 void LocalRuntime::drive_until(const std::function<bool()>& predicate,
                                double timeout_seconds) {
   const double deadline = pa::wall_seconds() + timeout_seconds;

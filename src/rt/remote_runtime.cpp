@@ -101,7 +101,9 @@ AgentEndpoint::AgentEndpoint(net::Transport& transport,
 
 AgentEndpoint::~AgentEndpoint() {
   // Late-completion handling, in order:
-  //  1. stop binding queued units to new slots;
+  //  1. cancel the embedded pilot: its ready FIFO is dropped, so no
+  //     waiting unit starts, and units still running report nothing;
+  //     `draining_` keeps the cancel from reporting kPilotTerminated;
   //  2. tear down the peer side: flip the hub dead under its lock (the
   //     still-listening accept handler sees the flag and attaches no
   //     handlers from now on), then close every channel — each close is
@@ -115,6 +117,11 @@ AgentEndpoint::~AgentEndpoint() {
   // counted there; the manager's heartbeat-deadline orphan requeue plus
   // the service's attempt tagging make that loss exactly-once safe.
   draining_.store(true);
+  try {
+    local_.cancel_pilot(pilot_id_);
+  } catch (const NotFound&) {
+    // never started, or kShutdown already cancelled it
+  }
   if (peer_hub_ != nullptr) {
     std::vector<std::shared_ptr<PeerChannel>> channels;
     {
@@ -350,16 +357,13 @@ std::int32_t AgentEndpoint::queue_capacity(int cores) const {
 
 AgentEndpoint::SchedulerStats AgentEndpoint::scheduler_stats() const {
   SchedulerStats s;
-  {
-    check::MutexLock lock(sched_mu_);
-    s.queued = queue_.size();
-    s.outstanding = static_cast<std::size_t>(outstanding_);
-    s.slots = slots_;
-    const std::int64_t free = std::int64_t{queue_capacity(slots_)} -
-                              static_cast<std::int64_t>(queue_.size()) -
-                              outstanding_;
-    s.window = free > 0 ? static_cast<std::int32_t>(free) : 0;
-  }
+  const std::size_t held = held_.load();
+  s.queued = std::min(local_.ready_units(pilot_id_), held);
+  s.outstanding = held - s.queued;
+  s.slots = active_sent_.load(std::memory_order_acquire) ? active_cores_ : 0;
+  const std::int64_t free = std::int64_t{queue_capacity(s.slots)} -
+                            static_cast<std::int64_t>(held);
+  s.window = free > 0 ? static_cast<std::int32_t>(free) : 0;
   s.outbox_pending = outbox_.pending();
   return s;
 }
@@ -442,46 +446,22 @@ std::vector<net::Message> AgentEndpoint::ship(std::vector<net::Message> batch,
   return {};
 }
 
-void AgentEndpoint::enqueue_units(
-    std::vector<net::WireUnitDescription> units) {
-  {
-    check::MutexLock lock(sched_mu_);
-    for (auto& unit : units) {
-      queue_.push_back(std::move(unit));
-    }
-  }
-  pump();
-}
-
-void AgentEndpoint::pump() {
-  if (draining_.load()) {
-    return;
-  }
-  check::MutexLock lock(sched_mu_);
-  while (!queue_.empty() && outstanding_ < std::max(slots_, 1)) {
-    net::WireUnitDescription unit = std::move(queue_.front());
-    queue_.pop_front();
-    ++outstanding_;
-    // Late binding happens here: the unit meets its core only when one is
-    // free. LocalRuntime calls run with the scheduler lock dropped.
-    lock.unlock();
-    dispatch(std::move(unit));
-    lock.lock();
-  }
-}
-
-void AgentEndpoint::dispatch(net::WireUnitDescription unit) {
+void AgentEndpoint::dispatch(const net::WireUnitDescription& unit) {
   core::ComputeUnitDescription desc = net::to_unit_description(unit);
   if (unit.has_work) {
     desc.work = payloads_->take(unit.unit_id);
   }
-  const std::string unit_id = unit.unit_id;
+  const std::string& unit_id = unit.unit_id;
+  held_.fetch_add(1);
   try {
     local_.execute_unit(pilot_id_, desc, unit_id,
                         [this, unit_id](bool success) {
                           complete(unit_id, success);
                         });
   } catch (const std::exception& e) {
+    if (draining_.load()) {
+      return;  // torn down: the manager's orphan requeue covers the unit
+    }
     PA_LOG(kWarn, "agent") << pilot_id_ << ": unit " << unit_id
                            << " rejected: " << e.what();
     complete(unit_id, false);
@@ -494,11 +474,7 @@ void AgentEndpoint::complete(const std::string& unit_id, bool success) {
   r.completions.push_back(
       net::WireUnitDone{unit_id, success, pa::wall_seconds()});
   outbox_.push(std::move(r));
-  {
-    check::MutexLock lock(sched_mu_);
-    --outstanding_;
-  }
-  pump();
+  held_.fetch_sub(1);
 }
 
 void AgentEndpoint::handle_message(const std::string& payload) {
@@ -535,22 +511,20 @@ void AgentEndpoint::handle_message(const std::string& payload) {
         desc.resource_url = "local://" + desc.resource_url.substr(9);
       }
       core::PilotRuntimeCallbacks callbacks;
-      // The agent feeds its runtime one unit per core (that runtime holds
-      // its own ready units) and announces a queue sized by the cores.
+      // The agent announces a depth sized by the cores, not the runtime's
+      // own capacity: its runtime holds every unit the agent takes.
       callbacks.on_active = [this](const std::string&, core::PilotCapacity cap,
                                    const std::string& site) {
-        {
-          check::MutexLock lock(sched_mu_);
-          slots_ = cap.cores;
-        }
         active_cores_ = cap.cores;
         active_site_ = site;
         active_sent_.store(true, std::memory_order_release);
         announce_active();
-        pump();  // units may already be queued behind the allocation
       };
       callbacks.on_terminated = [this](const std::string&,
                                        core::PilotState state) {
+        if (draining_.load()) {
+          return;  // teardown cancels the pilot; the heartbeat reports it
+        }
         net::Message r;
         r.type = net::MessageType::kPilotTerminated;
         r.pilot_state = state;
@@ -571,7 +545,10 @@ void AgentEndpoint::handle_message(const std::string& payload) {
       break;
     }
     case net::MessageType::kUnitBatch: {
-      enqueue_units(std::move(m.units));
+      // The runtime's ready FIFO binds them to cores, in arrival order.
+      for (const net::WireUnitDescription& unit : m.units) {
+        dispatch(unit);
+      }
       break;
     }
     case net::MessageType::kHeartbeat: {
@@ -604,11 +581,8 @@ void AgentEndpoint::handle_message(const std::string& payload) {
       break;
     }
     case net::MessageType::kShutdown: {
-      {
-        check::MutexLock lock(sched_mu_);
-        queue_.clear();  // unbound units die with the pilot
-      }
       try {
+        // Drops the units waiting for a core: they die with the pilot.
         local_.cancel_pilot(pilot_id_);
       } catch (const NotFound&) {
         // never started or already cancelled — shutdown is idempotent
@@ -1089,7 +1063,8 @@ void RemoteRuntime::handle_message(
       // (rank 10 < ours) — see the lock-hierarchy note in the header.
       // The service fits units by the pilot's real cores and binds up to
       // the agent's queue capacity: its capacity accounting is then the
-      // dispatch flow control, and the agent binds units to its cores.
+      // dispatch flow control, and the agent's runtime binds units to its
+      // cores.
       // A re-announce after a reconnect repeats the same figures.
       if (cb) {
         cb(m.pilot_id, core::PilotCapacity{m.total_cores, m.capacity},

@@ -815,6 +815,218 @@ class UnitBatchTap final : public net::Transport {
   std::vector<std::vector<std::string>> frames_ PA_GUARDED_BY(mu_);
 };
 
+// The agent's `queued` counts the units waiting in its runtime's ready
+// FIFO for a core, not the units beyond the cores: 2-core units on a
+// 2-core pilot run one at a time, so one runs and all others wait.
+TEST(RemoteRuntime, QueuedCountsOnlyUnitsWaitingForACore) {
+  net::InProcTransport transport;
+  RemoteStack stack(transport, "inproc://manager");
+  Pilot pilot = stack.service->submit_pilot(remote_pilot(2));
+  pilot.wait_active(10.0);
+  AgentEndpoint* agent = stack.farm.agent(pilot.id());
+  ASSERT_NE(agent, nullptr);
+
+  std::atomic<bool> release{false};
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate.store(true); }
+  } open_gate{release};
+  constexpr std::size_t kUnits = 6;
+  std::vector<ComputeUnitDescription> descs(kUnits);
+  for (auto& d : descs) {
+    d.cores = 2;
+    d.work = [&release]() {
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+  }
+  const std::vector<ComputeUnit> units = stack.service->submit_units(descs);
+  AgentEndpoint::SchedulerStats s = agent->scheduler_stats();
+  const double start = pa::wall_seconds();
+  while ((s.queued + s.outstanding < kUnits || s.outstanding == 0) &&
+         pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    s = agent->scheduler_stats();
+  }
+  EXPECT_EQ(s.queued + s.outstanding, kUnits);
+  EXPECT_EQ(s.outstanding, 1u);
+  EXPECT_EQ(s.queued, kUnits - 1);
+  EXPECT_EQ(s.slots, 2);
+
+  release.store(true);
+  stack.service->wait_all_units(60.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone) << u.id();
+  }
+  transport.stop();
+}
+
+// Submits one burst of runs.size() units to a 1-core remote pilot whose
+// agent is `agent`: unit 0 blocks until `release`, and every unit counts
+// its executions in `runs`. Returns once unit 0 runs and the others wait
+// in the agent for the core.
+std::vector<ComputeUnit> submit_behind_gate(PilotComputeService& service,
+                                            AgentEndpoint& agent,
+                                            std::vector<std::atomic<int>>& runs,
+                                            std::atomic<bool>& release) {
+  std::vector<ComputeUnitDescription> descs(runs.size());
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    descs[i].work = [&runs, &release, i]() {
+      runs[i].fetch_add(1);
+      while (i == 0 && !release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+  }
+  std::vector<ComputeUnit> units = service.submit_units(descs);
+  const double start = pa::wall_seconds();
+  while ((runs[0].load() == 0 ||
+          agent.scheduler_stats().queued < runs.size() - 1) &&
+         pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return units;
+}
+
+// Cancelling a remote pilot drops the units waiting in its agent for a
+// core: of one frame of four units on a 1-core pilot, the first blocks
+// while the pilot is cancelled, and the three behind it run only on the
+// second pilot. The blocked unit ran on the cancelled pilot and, its
+// completion lost with the pilot, runs once more on the second.
+TEST(RemoteRuntime, ShutdownDropsUnitsWaitingForACore) {
+  net::InProcTransport transport;
+  UnitBatchTap tap(transport);
+  RemoteStack stack(transport, "inproc://manager", 0.1, 30, nullptr, {},
+                    &tap);
+  Pilot p1 = stack.service->submit_pilot(remote_pilot(1, "site-a"));
+  p1.wait_active(10.0);
+  AgentEndpoint* agent = stack.farm.agent(p1.id());
+  ASSERT_NE(agent, nullptr);
+
+  std::atomic<bool> release{false};
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate.store(true); }
+  } open_gate{release};
+  constexpr int kUnits = 4;
+  std::vector<std::atomic<int>> runs(kUnits);
+  const std::vector<ComputeUnit> units =
+      submit_behind_gate(*stack.service, *agent, runs, release);
+  ASSERT_EQ(tap.frames().size(), 1u);
+  EXPECT_EQ(tap.frames()[0].size(), static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(agent->scheduler_stats().queued, 3u);
+
+  Pilot p2 = stack.service->submit_pilot(remote_pilot(2, "site-b"));
+  p2.wait_active(10.0);
+  p1.cancel();
+  // Open the gate only once the agent has taken the kShutdown: a unit
+  // its worker started before then would have run legitimately.
+  const double start = pa::wall_seconds();
+  while (agent->scheduler_stats().queued != 0 &&
+         pa::wall_seconds() - start < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(agent->scheduler_stats().queued, 0u);
+  release.store(true);
+
+  stack.service->wait_all_units(60.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone) << u.id();
+  }
+  EXPECT_EQ(stack.service->metrics().units_done,
+            static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(runs[0].load(), 2) << "the blocked unit runs again on p2";
+  for (int i = 1; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+        << "waiting unit " << i << " ran on the cancelled pilot";
+  }
+  transport.stop();
+}
+
+// Agent-side transport tap that runs `hook` when the agent closes its
+// manager connection: inside ~AgentEndpoint, after the final flush and
+// before the embedded runtime is destroyed.
+class CloseHookTap final : public net::Transport {
+ public:
+  explicit CloseHookTap(net::Transport& inner) : inner_(inner) {}
+
+  std::function<void()> hook;
+
+  std::string listen(const std::string& endpoint,
+                     net::AcceptHandler on_accept) override {
+    return inner_.listen(endpoint, std::move(on_accept));
+  }
+  net::ConnectionPtr connect(const std::string& endpoint,
+                             net::ConnectionHandlers handlers) override {
+    handlers.on_close = [this] {
+      if (hook) {
+        hook();
+      }
+    };
+    return inner_.connect(endpoint, std::move(handlers));
+  }
+  void stop() override { inner_.stop(); }
+
+ private:
+  net::Transport& inner_;
+};
+
+// Destroying an agent starts none of the units waiting for a core. The
+// 1-core pilot's first unit blocks on a gate with three units behind it
+// in the runtime's ready FIFO; the gate opens while ~AgentEndpoint runs,
+// and the teardown holds 50 ms so a worker that could start the next
+// unit would. Only the blocked unit ran there; the heartbeat requeue
+// then finishes every unit exactly once on a second pilot.
+TEST(RemoteRuntime, AgentTeardownStartsNoWaitingUnit) {
+  net::InProcTransport transport;
+  CloseHookTap tap(transport);
+  RemoteStack stack(transport, "inproc://manager",
+                    /*heartbeat_interval=*/0.02, /*miss_limit=*/3, nullptr,
+                    {}, &tap);
+  Pilot p1 = stack.service->submit_pilot(remote_pilot(1, "site-a"));
+  p1.wait_active(10.0);
+  AgentEndpoint* agent = stack.farm.agent(p1.id());
+  ASSERT_NE(agent, nullptr);
+
+  std::atomic<bool> release{false};
+  struct OpenGate {
+    std::atomic<bool>& gate;
+    ~OpenGate() { gate.store(true); }
+  } open_gate{release};
+  constexpr int kUnits = 4;
+  std::vector<std::atomic<int>> runs(kUnits);
+  const std::vector<ComputeUnit> units =
+      submit_behind_gate(*stack.service, *agent, runs, release);
+  EXPECT_EQ(agent->scheduler_stats().queued, 3u);
+
+  tap.hook = [&release] {
+    release.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  stack.farm.kill(p1.id());  // returns once the agent's workers joined
+  tap.hook = nullptr;
+  EXPECT_EQ(runs[0].load(), 1);
+  for (int i = 1; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 0)
+        << "waiting unit " << i << " started during teardown";
+  }
+
+  Pilot p2 = stack.service->submit_pilot(remote_pilot(1, "site-b"));
+  p2.wait_active(10.0);
+  stack.service->wait_all_units(60.0);
+  for (const ComputeUnit& u : units) {
+    EXPECT_EQ(u.state(), UnitState::kDone) << u.id();
+  }
+  EXPECT_EQ(stack.service->metrics().units_done,
+            static_cast<std::size_t>(kUnits));
+  EXPECT_EQ(runs[0].load(), 2) << "its completion died with the agent";
+  for (int i = 1; i < kUnits; ++i) {
+    EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1) << "unit " << i;
+  }
+  transport.stop();
+}
+
 // Submits `n` units that count their executions in `runs` (one slot per
 // unit, sized by the caller).
 std::vector<ComputeUnit> submit_counted(PilotComputeService& service, int n,

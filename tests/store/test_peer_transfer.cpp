@@ -155,7 +155,10 @@ bool ensure_sync(StoreManager& store, const std::string& pilot_id,
 
 TEST(PeerTransfer, PeerGrantMovesBytesAgentToAgent) {
   net::InProcTransport transport;
-  StoreManager store;
+  // A named config: GCC 12 warns -Wmaybe-uninitialized on the default
+  // argument's temporary (a false positive on origin.spill_dir).
+  const StoreManagerConfig config;
+  StoreManager store(config);
   StoreStack stack(transport, "inproc://peer-e2e", store);
 
   Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
@@ -246,7 +249,15 @@ struct FakeFleet {
     return cfg;
   }
 
-  explicit FakeFleet(StoreManagerConfig cfg = {}, bool keep_floor = false)
+  // Defaults to a copy of a named config: GCC 12 warns
+  // -Wmaybe-uninitialized on a `= {}` temporary here (a false positive).
+  static const StoreManagerConfig& default_config() {
+    static const StoreManagerConfig cfg;
+    return cfg;
+  }
+
+  explicit FakeFleet(StoreManagerConfig cfg = default_config(),
+                     bool keep_floor = false)
       : store(keep_floor ? std::move(cfg) : grant_all(std::move(cfg))) {
     store.attach_sender(
         [this](const std::string& pilot, net::Message& m) {

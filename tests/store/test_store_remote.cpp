@@ -180,7 +180,10 @@ TEST(StoreRemote, ReplicateReachesTargetAndMapsLocations) {
 
 TEST(StoreRemote, EnsureOnCoalescesAndHitsDirectory) {
   net::InProcTransport transport;
-  StoreManager store;
+  // A named config: GCC 12 warns -Wmaybe-uninitialized on the default
+  // argument's temporary (a false positive on origin.spill_dir).
+  const StoreManagerConfig config;
+  StoreManager store(config);
   StoreStack stack(transport, "inproc://store-ensure", store);
   Pilot p1 = stack.service->submit_pilot(remote_pilot(2, "site-a"));
   p1.wait_active(10.0);
@@ -313,7 +316,10 @@ TEST(StoreRemote, PullsFromReplicaWhenOriginEvicted) {
 
 TEST(StoreRemote, AffinitySchedulerFollowsLiveReplicaMap) {
   net::InProcTransport transport;
-  StoreManager store;
+  // A named config: GCC 12 warns -Wmaybe-uninitialized on the default
+  // argument's temporary (a false positive on origin.spill_dir).
+  const StoreManagerConfig config;
+  StoreManager store(config);
   StoreStack stack(transport, "inproc://store-affinity", store,
                    "data-affinity");
   StoreDataService data(store);
